@@ -145,27 +145,6 @@ pub fn shard_members<'a>(
         })
 }
 
-/// `|a ∩ b|` aggregated from per-shard partial counts: each shard
-/// contributes the fused AND+popcount of its own word range (zero-copy
-/// slices on both sides, by the plan's word alignment), and the partials
-/// are summed. Counts are exact integers, so the result equals
-/// `a.intersection_count(b)` for any shard count — the primitive model
-/// layers use to build cell-count signatures without touching a
-/// whole-dataset mask traversal.
-///
-/// # Panics
-/// Panics when either bitset does not range over `plan.n()` rows.
-pub fn sharded_intersection_count(a: &BitSet, b: &BitSet, plan: &ShardPlan) -> usize {
-    assert_eq!(a.len(), plan.n(), "sharded_intersection_count: capacity");
-    assert_eq!(b.len(), plan.n(), "sharded_intersection_count: capacity");
-    (0..plan.shards())
-        .map(|s| {
-            let w = plan.word_range(s);
-            crate::kernels::and_count(&a.words()[w.clone()], &b.words()[w])
-        })
-        .sum()
-}
-
 impl BitSet {
     /// The shard-`s` rows of this bitset as an owned shard-local bitset
     /// (capacity `plan.shard_len(s)`, bit `j` = full-dataset row

@@ -45,6 +45,8 @@ pub enum ModelError {
     SpreadSolve(String),
     /// The prior covariance is not positive definite.
     BadPrior,
+    /// A statistic came out NaN or infinite (non-finite data).
+    NonFinite,
 }
 
 impl std::fmt::Display for ModelError {
@@ -56,6 +58,7 @@ impl std::fmt::Display for ModelError {
             }
             ModelError::SpreadSolve(m) => write!(f, "spread multiplier solve failed: {m}"),
             ModelError::BadPrior => write!(f, "prior covariance is not positive definite"),
+            ModelError::NonFinite => write!(f, "a statistic is not finite (NaN or infinite data)"),
         }
     }
 }
@@ -589,51 +592,22 @@ impl BackgroundModel {
     /// `refine(ext)` the count is either 0 or the full cell size, but
     /// statistics queries run on arbitrary candidate extensions.
     pub fn cell_counts(&self, ext: &BitSet) -> Vec<(usize, usize)> {
-        let mut out = Vec::new();
-        for (idx, cell) in self.cells.iter().enumerate() {
-            let c = cell.ext.intersection_count(ext);
-            if c > 0 {
-                out.push((idx, c));
-            }
-        }
-        out
+        self.cell_counts_with(|cell| sisd_data::kernels::and_count(cell, ext.words()))
     }
 
-    /// [`BackgroundModel::cell_counts`] aggregated from per-shard partial
-    /// counts: each shard contributes the intersection count of its own
-    /// word range (a zero-copy slice on both sides, by the plan's
-    /// word-alignment invariant), and the per-shard counts are summed.
-    /// Counts are exact integers, so the signature is **identical** to
-    /// the unsharded one for any shard count — no part of the statistics
-    /// query ever touches a whole-dataset mask traversal.
-    pub fn cell_counts_sharded(
-        &self,
-        ext: &BitSet,
-        plan: &sisd_data::ShardPlan,
-    ) -> Vec<(usize, usize)> {
-        self.cell_counts_sharded_with(ext, plan, |cell, ext| {
-            sisd_data::shard::sharded_intersection_count(cell, ext, plan)
-        })
-    }
-
-    /// [`BackgroundModel::cell_counts_sharded`] with the per-cell sharded
-    /// intersection count supplied by the caller — the seam that lets an
-    /// engine route the fold through a remote shard executor (which must
-    /// return the same exact integer the local kernels would, keeping the
-    /// signature identical).
-    pub fn cell_counts_sharded_with<F>(
-        &self,
-        ext: &BitSet,
-        plan: &sisd_data::ShardPlan,
-        mut count: F,
-    ) -> Vec<(usize, usize)>
+    /// The cell-count signature with each cell's intersection count
+    /// supplied by the caller, given the cell's words: the form for an
+    /// extension held as bare words (e.g. a child scored in place in a
+    /// frontier arena), and the seam for a sharded engine, which sums
+    /// exact per-shard word-slice counts (locally or through a shard
+    /// executor) and so gets the identical signature for any shard count.
+    pub fn cell_counts_with<F>(&self, mut count: F) -> Vec<(usize, usize)>
     where
-        F: FnMut(&BitSet, &BitSet) -> usize,
+        F: FnMut(&[u64]) -> usize,
     {
-        assert_eq!(plan.n(), self.n, "cell_counts_sharded: plan row count");
         let mut out = Vec::new();
         for (idx, cell) in self.cells.iter().enumerate() {
-            let c = count(&cell.ext, ext);
+            let c = count(cell.ext.words());
             if c > 0 {
                 out.push((idx, c));
             }

@@ -9,19 +9,21 @@
 //! Candidate scoring — including multi-threading and factorization reuse —
 //! is delegated to the shared [`crate::eval::Evaluator`], and candidate
 //! *generation* to the batched `sisd-frontier` subsystem (condition masks
-//! evaluated once per search into a contiguous bit-matrix, refined
+//! evaluated once per search — once per [`crate::Miner`] for its
+//! searches — into a contiguous bit-matrix, refined
 //! **count-first**: supports are counted with store-free fused kernels,
 //! the coverage filters and conjunction dedup run on the counts, and only
 //! surviving children's extensions are materialized); set
 //! [`EvalConfig::threads`] to parallelize both. Results are identical at
 //! any thread count.
 
-use crate::eval::{run_beam_levels, Evaluator};
+use crate::eval::{run_beam_levels, Evaluator, SearchMasks};
 use crate::refine::RefineConfig;
 use crate::EvalConfig;
 use sisd_core::{DlParams, LocationPattern};
 use sisd_data::Dataset;
-use sisd_model::BackgroundModel;
+use sisd_model::{BackgroundModel, FactorCache};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Beam search configuration.
@@ -114,16 +116,7 @@ impl BeamSearch {
     /// cached lazily and thread-safely inside the model, so the model is
     /// only read).
     pub fn run(&self, data: &Dataset, model: &BackgroundModel) -> BeamResult {
-        let start = Instant::now();
-        let ev = Evaluator::gaussian(data, model, self.config.dl, self.config.eval);
-        let outcome = run_beam_levels(&ev, &self.config, start);
-        BeamResult {
-            top: outcome.top,
-            evaluated: outcome.evaluated,
-            elapsed: start.elapsed(),
-            timed_out: outcome.timed_out,
-            degraded: outcome.degraded,
-        }
+        self.run_with_cache(data, model, Arc::new(FactorCache::new()))
     }
 
     /// [`BeamSearch::run`] with an externally-owned factor cache, so
@@ -135,12 +128,27 @@ impl BeamSearch {
         &self,
         data: &Dataset,
         model: &BackgroundModel,
-        cache: std::sync::Arc<sisd_model::FactorCache>,
+        cache: Arc<FactorCache>,
     ) -> BeamResult {
         let start = Instant::now();
+        let masks = SearchMasks::build(data, &self.config.refine, self.config.eval.shards);
+        self.run_with_masks(data, model, cache, &masks, start)
+    }
+
+    /// [`BeamSearch::run_with_cache`] over condition masks built earlier
+    /// by [`SearchMasks::build`] with this search's dataset, refinement
+    /// settings and shard count; `start` is when the search began.
+    pub(crate) fn run_with_masks(
+        &self,
+        data: &Dataset,
+        model: &BackgroundModel,
+        cache: Arc<FactorCache>,
+        masks: &SearchMasks,
+        start: Instant,
+    ) -> BeamResult {
         let ev =
             Evaluator::gaussian_with_cache(data, model, self.config.dl, self.config.eval, cache);
-        let outcome = run_beam_levels(&ev, &self.config, start);
+        let outcome = run_beam_levels(&ev, &self.config, masks, start);
         BeamResult {
             top: outcome.top,
             evaluated: outcome.evaluated,

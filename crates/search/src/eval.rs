@@ -26,15 +26,15 @@
 //!   every other's, so the results are **bit-identical at any thread
 //!   count** — searches may be parallelized without changing their output.
 
-use crate::refine::generate_conditions;
+use crate::refine::{generate_conditions, RefineConfig};
 use crate::BeamConfig;
 use sisd_core::SisdError;
 use sisd_core::{
     location_ic_of_stats, spread_si, Condition, ConditionOp, Intention, LocationPattern,
     LocationScore, SisdResult, SpreadScore,
 };
-use sisd_data::{BitSet, Dataset, ShardPlan};
-use sisd_frontier::{ExecHandle, FrontierConfig, MaskStore, ParentSpec};
+use sisd_data::{kernels, BitSet, Dataset, ShardPlan};
+use sisd_frontier::{ChildBatch, ExecHandle, FrontierConfig, MaskStore, ParentSpec};
 use sisd_model::{BackgroundModel, BinaryBackgroundModel, FactorCache, ModelError};
 use sisd_obs::{Metric, ObsHandle};
 use sisd_par::PoolHandle;
@@ -128,39 +128,6 @@ impl EvalConfig {
         self.exec = exec;
         self
     }
-}
-
-/// Sharded intersection count routed through a shard executor: each
-/// shard's partial count is one `and_count` request over the exact word
-/// slices the local fold would use, and the per-shard integers are
-/// summed in shard order. A failed request falls back to the local
-/// kernels for that shard (bumping `executor.fallbacks`), so the total
-/// is identical to [`sisd_data::shard::sharded_intersection_count`]
-/// whether the backend is healthy, flaky, or gone.
-fn exec_intersection_count(
-    exec: &'static dyn sisd_frontier::ShardExecutor,
-    obs: ObsHandle,
-    plan: &ShardPlan,
-    a: &BitSet,
-    b: &BitSet,
-) -> usize {
-    let mut total = 0usize;
-    for s in 0..plan.shards() {
-        let wr = plan.word_range(s);
-        if wr.is_empty() {
-            continue;
-        }
-        let aw = &a.words()[wr.clone()];
-        let bw = &b.words()[wr];
-        total += match exec.and_count(aw, bw) {
-            Ok(c) => c as usize,
-            Err(_) => {
-                obs.incr(Metric::ExecutorFallbacks);
-                sisd_data::kernels::and_count(aw, bw)
-            }
-        };
-    }
-    total
 }
 
 /// One candidate subgroup awaiting evaluation.
@@ -385,13 +352,44 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// Observed subgroup mean of `ext`, given its cell-count signature.
+    /// `|cell ∩ ext|` for an extension given by its words. Sharded
+    /// engines sum exact per-shard word-slice counts in shard order,
+    /// each through the shard executor when one is attached (a failed
+    /// request falls back to the local kernel for that shard, bumping
+    /// `executor.fallbacks`), so the count is the same integer on every
+    /// path.
+    fn intersection_count(&self, cell: &[u64], words: &[u64]) -> usize {
+        let Some(plan) = &self.plan else {
+            return kernels::and_count(cell, words);
+        };
+        let exec = self.exec.get();
+        let mut total = 0usize;
+        for s in 0..plan.shards() {
+            let wr = plan.word_range(s);
+            if wr.is_empty() {
+                continue;
+            }
+            let (a, b) = (&cell[wr.clone()], &words[wr]);
+            total += match exec.map(|exec| exec.and_count(a, b)) {
+                Some(Ok(c)) => c as usize,
+                Some(Err(_)) => {
+                    self.obs.incr(Metric::ExecutorFallbacks);
+                    kernels::and_count(a, b)
+                }
+                None => kernels::and_count(a, b),
+            };
+        }
+        total
+    }
+
+    /// Observed subgroup mean of the extension `words` with `support`
+    /// rows, given its cell-count signature.
     ///
     /// When every intersected cell is *fully* inside the extension the mean
     /// is assembled from per-cell target sums (`O(cells · dy)`) instead of
     /// a row scan (`O(|I| · dy)`) — the case for re-scored assimilated
     /// subgroups and any candidate aligned with the constraint partition.
-    fn observed_mean(&self, ext: &BitSet, counts: &[(usize, usize)]) -> Vec<f64> {
+    fn observed_mean(&self, words: &[u64], support: usize, counts: &[(usize, usize)]) -> Vec<f64> {
         if let Backend::Gaussian {
             model, cell_sums, ..
         } = &self.backend
@@ -401,13 +399,7 @@ impl<'a> Evaluator<'a> {
                 let sums = cell_sums.get_or_init(|| {
                     cells
                         .iter()
-                        .map(|cell| {
-                            let mut s = vec![0.0; self.data.dy()];
-                            for i in cell.ext.iter() {
-                                sisd_linalg::add_assign(&mut s, self.data.target_row(i));
-                            }
-                            s
-                        })
+                        .map(|cell| self.data.target_sum_words(cell.ext.words()))
                         .collect()
                 });
                 let m: usize = counts.iter().map(|&(_, c)| c).sum();
@@ -419,71 +411,61 @@ impl<'a> Evaluator<'a> {
                 return mean;
             }
         }
-        self.fallback_mean(ext)
+        self.fallback_mean(words, support)
     }
 
     /// The row-scan observed mean, aggregated per shard when the engine is
     /// sharded. The sharded fold visits rows in exactly the unsharded
     /// ascending order (see `Dataset::target_mean_sharded`), so the two
     /// are bit-identical.
-    fn fallback_mean(&self, ext: &BitSet) -> Vec<f64> {
+    fn fallback_mean(&self, words: &[u64], support: usize) -> Vec<f64> {
         match &self.plan {
-            Some(plan) => self.data.target_mean_sharded(ext, plan),
-            None => self.data.target_mean(ext),
+            Some(plan) => self.data.target_mean_sharded_words(words, support, plan),
+            None => self.data.target_mean_words(words, support),
         }
     }
 
     /// Observed mean and SI breakdown of one candidate of the given
-    /// description arity — the scoring core shared by the borrowing and
-    /// owning entry points. When the engine is sharded, the cell-count
-    /// signature is summed from per-shard word slices and the row-scan
-    /// mean folds shard by shard; both reproduce the unsharded bits
-    /// exactly.
-    fn score_parts(&self, arity: usize, ext: &BitSet) -> SisdResult<(Vec<f64>, LocationScore)> {
-        if ext.count() == 0 {
+    /// description arity, whose extension is packed in `words` and covers
+    /// `support` rows — the scoring core of every entry point, borrowed
+    /// or owned, and of the beam's in-place child scoring. When the engine
+    /// is sharded, the cell-count signature is summed from per-shard word
+    /// slices and the row-scan mean folds shard by shard; both reproduce
+    /// the unsharded bits exactly.
+    ///
+    /// A non-finite IC or SI (a NaN or infinite target inside the
+    /// extension) is a numeric failure: it never reaches a ranking.
+    fn score_parts(
+        &self,
+        arity: usize,
+        words: &[u64],
+        support: usize,
+    ) -> SisdResult<(Vec<f64>, LocationScore)> {
+        if support == 0 {
             return Err(ModelError::EmptyExtension.into());
         }
         let dl = self.dl.location_dl(arity);
         let (observed_mean, ic) = match &self.backend {
             Backend::Gaussian { model, cache, .. } => {
-                let counts = match &self.plan {
-                    Some(plan) => match self.exec.get() {
-                        Some(exec) => model.cell_counts_sharded_with(ext, plan, |cell, ext| {
-                            exec_intersection_count(exec, self.obs, plan, cell, ext)
-                        }),
-                        None => model.cell_counts_sharded(ext, plan),
-                    },
-                    None => model.cell_counts(ext),
-                };
-                let observed = self.observed_mean(ext, &counts);
+                let counts = model.cell_counts_with(|cell| self.intersection_count(cell, words));
+                let observed = self.observed_mean(words, support, &counts);
                 let stats =
                     model.location_stats_for_counts(&counts, &observed, Some(cache.as_ref()))?;
                 let ic = location_ic_of_stats(&stats, model.dy());
                 (observed, ic)
             }
             Backend::Bernoulli { model } => {
-                let observed = self.fallback_mean(ext);
-                let counts = self.plan.as_ref().map(|plan| match self.exec.get() {
-                    Some(exec) => model.cell_counts_sharded_with(ext, plan, |cell, ext| {
-                        exec_intersection_count(exec, self.obs, plan, cell, ext)
-                    }),
-                    None => model.cell_counts_sharded(ext, plan),
-                });
-                let ic = match counts {
-                    Some(counts) => model.location_ic_for_counts(&counts, &observed)?,
-                    None => model.location_ic(ext, &observed)?,
-                };
+                let observed = self.fallback_mean(words, support);
+                let counts = model.cell_counts_with(|cell| self.intersection_count(cell, words));
+                let ic = model.location_ic_for_counts(&counts, &observed)?;
                 (observed, ic)
             }
         };
-        Ok((
-            observed_mean,
-            LocationScore {
-                ic,
-                dl,
-                si: ic / dl,
-            },
-        ))
+        let si = ic / dl;
+        if !ic.is_finite() || !si.is_finite() {
+            return Err(ModelError::NonFinite.into());
+        }
+        Ok((observed_mean, LocationScore { ic, dl, si }))
     }
 
     /// Scores one location candidate through the same IC formula as
@@ -493,7 +475,7 @@ impl<'a> Evaluator<'a> {
     /// summation order than `Dataset::target_mean`. Bit-identity is
     /// guaranteed *within* the engine at any thread count.
     pub fn score_location(&self, intention: &Intention, ext: &BitSet) -> SisdResult<Scored> {
-        let (observed_mean, score) = self.score_parts(intention.len(), ext)?;
+        let (observed_mean, score) = self.score_parts(intention.len(), ext.words(), ext.count())?;
         Ok(Scored {
             intention: intention.clone(),
             ext: ext.clone(),
@@ -508,7 +490,8 @@ impl<'a> Evaluator<'a> {
     /// per result — an extension materialized once from a frontier batch
     /// is the same heap allocation the final pattern carries.
     fn score_owned(&self, candidate: Candidate) -> Option<Scored> {
-        match self.score_parts(candidate.intention.len(), &candidate.ext) {
+        let ext = &candidate.ext;
+        match self.score_parts(candidate.intention.len(), ext.words(), ext.count()) {
             Ok((observed_mean, score)) => Some(Scored {
                 intention: candidate.intention,
                 ext: candidate.ext,
@@ -560,13 +543,47 @@ impl<'a> Evaluator<'a> {
     /// levels at high `dy`); per-node strategies over cheap scores (e.g.
     /// single-target branch-and-bound) see little benefit.
     pub fn try_score_all(&self, candidates: &[Candidate]) -> Vec<Option<Scored>> {
+        self.fan_out(candidates.len(), |i| {
+            let c = &candidates[i];
+            self.score_location(&c.intention, &c.ext)
+        })
+    }
+
+    /// Scores children `range` of a frontier batch **in place**: each
+    /// child's words are read straight from the batch arena and its
+    /// support from its metadata, so no extension is copied and none is
+    /// recounted. `arity` is the children's description length (one more
+    /// than their parents'). Same fan-out, order and failure accounting as
+    /// [`Evaluator::try_score_all`], so the output is bit-identical at any
+    /// thread count; `None` where scoring failed.
+    pub(crate) fn score_children(
+        &self,
+        batch: &ChildBatch,
+        range: std::ops::Range<usize>,
+        arity: usize,
+    ) -> Vec<Option<(Vec<f64>, LocationScore)>> {
+        self.fan_out(range.len(), |i| {
+            let child = range.start + i;
+            self.score_parts(arity, batch.child_words(child), batch.meta(child).support)
+        })
+    }
+
+    /// The batch fan-out shared by the borrowing entry points: item `i`
+    /// is scored by `score(i)`. Batches are split into contiguous chunks
+    /// of at least `Evaluator::MIN_CHUNK` items, scored on the pool's
+    /// workers and merged in chunk order; failures are tallied (see
+    /// [`Evaluator::numeric_failures`]) and leave `None` in their slot.
+    fn fan_out<T: Send>(
+        &self,
+        len: usize,
+        score: impl Fn(usize) -> SisdResult<T> + Sync,
+    ) -> Vec<Option<T>> {
         let obs = self.obs;
         obs.incr(Metric::EvalBatches);
         let _score_span = obs.span(Metric::EvalScoreNs);
-        let score_chunk = |chunk: &[Candidate]| -> Vec<Option<Scored>> {
+        let score_chunk = |chunk: std::ops::Range<usize>| -> Vec<Option<T>> {
             chunk
-                .iter()
-                .map(|c| match self.score_location(&c.intention, &c.ext) {
+                .map(|i| match score(i) {
                     Ok(s) => Some(s),
                     Err(e) => {
                         self.note_failure(&e);
@@ -575,14 +592,12 @@ impl<'a> Evaluator<'a> {
                 })
                 .collect()
         };
-        let workers = self.threads.min(candidates.len().div_ceil(Self::MIN_CHUNK));
-        let out: Vec<Option<Scored>> = if workers <= 1 {
-            score_chunk(candidates)
+        let workers = self.threads.min(len.div_ceil(Self::MIN_CHUNK));
+        let out: Vec<Option<T>> = if workers <= 1 {
+            score_chunk(0..len)
         } else {
             self.pool
-                .run_chunked(candidates.len(), workers, |_, chunk| {
-                    score_chunk(&candidates[chunk])
-                })
+                .run_chunked(len, workers, |_, chunk| score_chunk(chunk))
                 .into_iter()
                 .flatten()
                 .collect()
@@ -608,10 +623,10 @@ impl<'a> Evaluator<'a> {
     /// [`Evaluator::try_score_all`] taking the batch by value: every
     /// candidate's intention and extension **move** into its `Scored` slot
     /// instead of being cloned (same scores, same order, same threading
-    /// contract). This is the batch boundary fix for the frontier arena:
-    /// a dedup-surviving extension is allocated once when it leaves the
-    /// `ChildBatch` and that allocation is the one the final
-    /// `LocationPattern` owns.
+    /// contract). Branch-and-bound, which recurses into every scored
+    /// child's owned extension, scores its frontier batches this way:
+    /// each extension is allocated once when it leaves the `ChildBatch`,
+    /// and that allocation is the one the final `LocationPattern` owns.
     pub fn try_score_all_owned(&self, candidates: Vec<Candidate>) -> Vec<Option<Scored>> {
         let obs = self.obs;
         obs.incr(Metric::EvalBatches);
@@ -721,17 +736,50 @@ impl TopK {
         }
     }
 
-    pub(crate) fn push(&mut self, p: LocationPattern) {
-        let pos = self.items.partition_point(|q| q.score.si >= p.score.si);
+    /// Logs the pattern `build()` makes, which scores `si`, if it ranks
+    /// among the `k` best so far (after every logged pattern with an SI
+    /// at least as high). `build` runs only for an admitted pattern, so a
+    /// rejected candidate never has its description or extension built.
+    pub(crate) fn push_with(&mut self, si: f64, build: impl FnOnce() -> LocationPattern) {
+        let pos = self.items.partition_point(|q| q.score.si >= si);
         if pos >= self.k {
             return;
         }
-        self.items.insert(pos, p);
+        self.items.insert(pos, build());
         self.items.truncate(self.k);
     }
 
     pub(crate) fn into_vec(self) -> Vec<LocationPattern> {
         self.items
+    }
+}
+
+/// The condition language of a beam search and every condition's mask.
+/// Both are pure functions of the dataset, the refinement settings and
+/// the shard count, so one build serves any number of searches that
+/// share the three: [`crate::Miner`] builds its own once and shares it
+/// with its clones.
+pub(crate) struct SearchMasks {
+    conditions: Vec<Condition>,
+    store: MaskStore,
+}
+
+impl SearchMasks {
+    /// Generates the conditions and evaluates their masks: one contiguous
+    /// arena, or one arena per row-range shard when `shards > 1`.
+    pub(crate) fn build(data: &Dataset, refine: &RefineConfig, shards: usize) -> Self {
+        let conditions = generate_conditions(data, refine);
+        let store = MaskStore::evaluate(data, &conditions, shards);
+        Self { conditions, store }
+    }
+}
+
+impl std::fmt::Debug for SearchMasks {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SearchMasks")
+            .field("conditions", &self.conditions.len())
+            .field("shards", &self.store.shards())
+            .finish()
     }
 }
 
@@ -741,6 +789,23 @@ pub(crate) struct BeamLevelsOutcome {
     pub(crate) evaluated: usize,
     pub(crate) timed_out: bool,
     pub(crate) degraded: usize,
+}
+
+/// One scored child of a beam level: where it sits in the level's
+/// batches, and its score.
+struct LevelEntry {
+    batch: usize,
+    child: usize,
+    observed_mean: Vec<f64>,
+    score: LocationScore,
+}
+
+/// A parent of the next level: its description, and where its extension
+/// words sit in the retained batches of the level that produced it.
+struct Keeper {
+    intention: Intention,
+    batch: usize,
+    child: usize,
 }
 
 /// The level-wise beam search (paper §II-D), generic over the evaluation
@@ -754,8 +819,8 @@ pub(crate) struct BeamLevelsOutcome {
 /// extension words computed. Dedup still happens after the structural
 /// filters (so the outcome is independent of which parent reaches a
 /// conjunction first, exactly as in the serial nested loop); the whole
-/// level is then scored as one batch through the engine and the `width`
-/// best become the next frontier.
+/// level is then scored and the `width` best become the next frontier.
+/// The masks come prebuilt in `masks` (see [`SearchMasks`]).
 ///
 /// With `ev.shards() > 1` the mask matrix is built per row-range shard and
 /// refinement runs count-first over `(parent, shard, row-block)` items:
@@ -764,34 +829,32 @@ pub(crate) struct BeamLevelsOutcome {
 /// shard order); statistics aggregate from per-shard partials inside the
 /// engine. The search result is bit-identical at any shard count.
 ///
-/// Surviving extensions are materialized **once** from the frontier batch
-/// and move through scoring into the final patterns (owned batch
-/// evaluation). The next frontier *borrows* the `width` best scored
-/// results of its level — each scored level is held back from the top-k
-/// log until the following level has been generated, then moved in
-/// unchanged (same push order as pushing eagerly), so no per-level parent
-/// clone exists at all (pinned by `tests/alloc_counts.rs`).
+/// **Children are scored in place.** Each level's children stay in the
+/// frontier's `ChildBatch` arena: scoring reads a child's words there and
+/// takes its support from its metadata. A child's intention and owned
+/// extension are built only when the top-k log admits it (in scored
+/// order, level by level), and the next frontier borrows its `width`
+/// parents' words from the retained level's arena. So no per-candidate
+/// extension copy and no per-level parent clone exists (pinned by
+/// `tests/alloc_counts.rs`).
 ///
 /// The wall-clock budget is honoured during both phases of a level:
 /// candidate *generation* checks it between frontier-parent slices, and
-/// batch *scoring* checks it between bounded slices (one thread-round of
-/// chunks), so overshoot is limited to one slice of generation plus one
+/// scoring checks it between bounded slices (one thread-round of
+/// children), so overshoot is limited to one slice of generation plus one
 /// slice of scoring. Everything scored before expiry is still logged — a
 /// timed-out search reports every candidate it committed to, like the
 /// incremental searches it replaced.
 pub(crate) fn run_beam_levels(
     ev: &Evaluator<'_>,
     cfg: &BeamConfig,
+    masks: &SearchMasks,
     start: Instant,
 ) -> BeamLevelsOutcome {
     let obs = ev.obs();
     obs.incr(Metric::SearchRuns);
     let data = ev.data();
-    let conditions = generate_conditions(data, &cfg.refine);
-    // Every condition mask, evaluated once for the whole search — one
-    // contiguous arena, or one arena per row-range shard when the engine
-    // is sharded; levels and strategies reuse the rows either way.
-    let store = MaskStore::evaluate(data, &conditions, ev.shards());
+    let SearchMasks { conditions, store } = masks;
     let frontier_cfg = FrontierConfig {
         min_support: cfg.min_coverage,
         threads: ev.threads(),
@@ -806,59 +869,53 @@ pub(crate) fn run_beam_levels(
     let mut evaluated = 0usize;
     let mut timed_out = false;
     let mut seen: HashSet<Vec<(usize, u8, u64)>> = HashSet::new();
-    // Level 1 refines the root; deeper levels refine the `width` best of
-    // the previous level, borrowed from that level's retained scored
-    // results (`pending`) via `frontier_idx`.
     let root_intent = Intention::empty();
     let root_ext = BitSet::full(data.n());
-    let mut pending: Vec<Scored> = Vec::new();
-    let mut frontier_idx: Vec<usize> = Vec::new();
+    // The previous level's batches, retained so the next frontier can
+    // borrow its parents' words from them, and those parents.
+    let mut prev: Vec<ChildBatch> = Vec::new();
+    let mut keepers: Vec<Keeper> = Vec::new();
 
     for depth in 1..=cfg.max_depth {
         obs.incr(Metric::SearchLevels);
         let _level_span = obs.span(Metric::SearchLevelNs);
-        let level_parents: Vec<(&Intention, &BitSet)> = if depth == 1 {
-            vec![(&root_intent, &root_ext)]
-        } else {
-            frontier_idx
-                .iter()
-                .map(|&i| (&pending[i].intention, &pending[i].ext))
-                .collect()
-        };
-        // The parent's own coverage caps its children: a child covering as
-        // many rows as its parent is the same extension with a longer
-        // description (dominated), so the per-parent ceiling is one less.
-        let parents: Vec<ParentSpec<'_>> = level_parents
-            .iter()
-            .map(|&(_, ext)| ParentSpec {
-                ext,
-                max_support: max_cov.min(ext.count().saturating_sub(1)),
-            })
-            .collect();
-        let allowed = |p: usize, row: usize| !level_parents[p].0.conflicts_with(&conditions[row]);
-        // Sequential post-pass in the deterministic child order: attach
-        // intentions and materialize extensions — the batch holds exactly
-        // the dedup survivors, because the keep predicate below ran the
-        // first-wins signature check on the support counts.
-        let mut batch: Vec<Candidate> = Vec::new();
-        let push_children =
-            |children: &sisd_frontier::ChildBatch, base: usize, batch: &mut Vec<Candidate>| {
-                for i in 0..children.len() {
-                    let m = children.meta(i);
-                    batch.push(Candidate {
-                        intention: level_parents[base + m.parent].0.with(conditions[m.row]),
-                        ext: children.child_bitset(i),
-                    });
-                }
+        // Level 1 refines the root; deeper levels refine the keepers of
+        // the previous level. The parent's own coverage caps its
+        // children: a child covering as many rows as its parent is the
+        // same extension with a longer description (dominated), so the
+        // per-parent ceiling is one less.
+        let (intents, parents): (Vec<&Intention>, Vec<ParentSpec<'_, [u64]>>) = if depth == 1 {
+            let spec = ParentSpec {
+                ext: root_ext.words(),
+                max_support: max_cov.min(data.n().saturating_sub(1)),
             };
+            (vec![&root_intent], vec![spec])
+        } else {
+            keepers
+                .iter()
+                .map(|k| {
+                    let batch = &prev[k.batch];
+                    let spec = ParentSpec {
+                        ext: batch.child_words(k.child),
+                        max_support: max_cov.min(batch.meta(k.child).support.saturating_sub(1)),
+                    };
+                    (&k.intention, spec)
+                })
+                .unzip()
+        };
+        let allowed = |p: usize, row: usize| !intents[p].conflicts_with(&conditions[row]);
+        // Each batch holds exactly the dedup survivors of its parents
+        // (the keep predicate ran the first-wins signature check on the
+        // support counts), tagged with the index of its first parent.
+        let mut batches: Vec<(usize, ChildBatch)> = Vec::new();
         match cfg.time_budget {
             // No budget: one batch, maximally parallel.
             None => {
                 let children =
                     store.refine_with_prune(frontier_cfg, &parents, allowed, |p, row, _| {
-                        seen.insert(intention_key_with(level_parents[p].0, &conditions[row]))
+                        seen.insert(intention_key_with(intents[p], &conditions[row]))
                     });
-                push_children(&children, 0, &mut batch);
+                batches.push((0, children));
             }
             // Budgeted: refine in slices of one thread-round of parents so
             // the elapsed check runs between slices; a slice, once
@@ -876,70 +933,95 @@ pub(crate) fn run_beam_levels(
                         chunk,
                         |p, row| allowed(base + p, row),
                         |p, row, _| {
-                            seen.insert(intention_key_with(
-                                level_parents[base + p].0,
-                                &conditions[row],
-                            ))
+                            seen.insert(intention_key_with(intents[base + p], &conditions[row]))
                         },
                     );
-                    push_children(&children, base, &mut batch);
+                    batches.push((base, children));
                 }
             }
         }
-        let scored = match cfg.time_budget {
-            // No budget: one batch, maximally parallel. Owned scoring:
-            // each keeper's extension moves through to its pattern.
-            None => ev.score_all_owned(batch),
-            // Budgeted: score in slices sized to one full thread-round so
-            // the elapsed check runs between slices; a slice, once
-            // submitted, completes (bounded overshoot).
-            Some(budget) => {
-                let slice = (ev.threads() * Evaluator::MIN_CHUNK).max(64);
-                let mut out = Vec::with_capacity(batch.len());
-                let mut rest = batch;
-                while !rest.is_empty() {
-                    if start.elapsed() > budget {
-                        timed_out = true;
-                        break;
-                    }
-                    let tail = rest.split_off(rest.len().min(slice));
-                    out.extend(ev.score_all_owned(rest));
-                    rest = tail;
-                }
-                out
-            }
+        // Score every child in place, in batch order. Without a budget
+        // each batch is one scoring call, maximally parallel; with one,
+        // batches are scored in slices of one full thread-round so the
+        // elapsed check runs between slices (bounded overshoot).
+        let slice = match cfg.time_budget {
+            None => usize::MAX,
+            Some(_) => (ev.threads() * Evaluator::MIN_CHUNK).max(64),
         };
-        evaluated += scored.len();
-        // The previous level's borrows ended with candidate generation:
-        // move its patterns into the log now, unchanged. The push
-        // sequence stays level by level in scored order — exactly the
-        // sequence eager pushing produced — so the top-k log is
-        // bit-identical; holding each level back for one iteration is
-        // what lets the next frontier borrow instead of clone.
-        for s in pending.drain(..) {
-            top.push(s.into_pattern());
-        }
-        let done = timed_out || scored.is_empty();
-        if done {
-            for s in scored {
-                top.push(s.into_pattern());
+        let mut level: Vec<LevelEntry> = Vec::new();
+        'score: for (b, (_, batch)) in batches.iter().enumerate() {
+            for lo in (0..batch.len()).step_by(slice) {
+                if cfg
+                    .time_budget
+                    .is_some_and(|budget| start.elapsed() > budget)
+                {
+                    timed_out = true;
+                    break 'score;
+                }
+                let hi = batch.len().min(lo.saturating_add(slice));
+                let scored = ev.score_children(batch, lo..hi, depth);
+                for (child, result) in (lo..hi).zip(scored) {
+                    if let Some((observed_mean, score)) = result {
+                        level.push(LevelEntry {
+                            batch: b,
+                            child,
+                            observed_mean,
+                            score,
+                        });
+                    }
+                }
             }
+        }
+        evaluated += level.len();
+        let done = timed_out || level.is_empty();
+        // Select the next frontier: a stable index sort by SI descending
+        // (ties keep scored order; scores are finite, see
+        // `Evaluator::score_parts`). Keepers address their words in the
+        // level's batches, which are retained for the next level.
+        let mut next: Vec<Keeper> = Vec::new();
+        if !done && depth < cfg.max_depth {
+            let mut order: Vec<usize> = (0..level.len()).collect();
+            order.sort_by(|&a, &b| {
+                level[b]
+                    .score
+                    .si
+                    .partial_cmp(&level[a].score.si)
+                    .unwrap_or(std::cmp::Ordering::Equal)
+            });
+            order.truncate(cfg.width);
+            next = order
+                .into_iter()
+                .map(|i| {
+                    let e = &level[i];
+                    let (base, batch) = &batches[e.batch];
+                    let m = batch.meta(e.child);
+                    Keeper {
+                        intention: intents[base + m.parent].with(conditions[m.row]),
+                        batch: e.batch,
+                        child: e.child,
+                    }
+                })
+                .collect();
+        }
+        // Log the level in scored order. The top-k log's contents depend
+        // only on the push sequence — level by level, in scored order —
+        // so building patterns lazily leaves them bit-identical. Only
+        // admitted children get a description and an owned extension.
+        for e in level {
+            let (base, batch) = &batches[e.batch];
+            let m = batch.meta(e.child);
+            top.push_with(e.score.si, || LocationPattern {
+                intention: intents[base + m.parent].with(conditions[m.row]),
+                extension: batch.child_bitset(e.child),
+                observed_mean: e.observed_mean,
+                score: e.score,
+            });
+        }
+        if done {
             break;
         }
-        // Select the next frontier: a stable index sort by SI descending
-        // reproduces the old sort-the-level order exactly (ties keep
-        // scored order). The keepers are indices into the retained level —
-        // no intention or extension is cloned.
-        let mut order: Vec<usize> = (0..scored.len()).collect();
-        order.sort_by(|&a, &b| scored[b].score.si.partial_cmp(&scored[a].score.si).unwrap());
-        order.truncate(cfg.width);
-        pending = scored;
-        frontier_idx = order;
-    }
-    // The last level was never followed by another generation pass: flush
-    // its retained results into the log.
-    for s in pending {
-        top.push(s.into_pattern());
+        prev = batches.into_iter().map(|(_, batch)| batch).collect();
+        keepers = next;
     }
     ev.publish_stats();
 
@@ -1167,6 +1249,105 @@ mod tests {
         )
         .unwrap();
         assert_eq!(s2.score.si, reference.si);
+    }
+
+    #[test]
+    fn in_place_child_scoring_matches_scoring_copied_out_children() {
+        let (data, mut model) = fixture();
+        // Heterogeneous cells, so both the cell-count signature and the
+        // mean paths do real work.
+        let half = BitSet::from_indices(data.n(), 0..data.n() / 2);
+        model
+            .assimilate_location(&half, data.target_mean(&half))
+            .unwrap();
+        for shards in [1usize, 3] {
+            let masks = SearchMasks::build(&data, &RefineConfig::default(), shards);
+            let cfg = FrontierConfig::default();
+            let root = BitSet::full(data.n());
+            let root_spec = ParentSpec {
+                ext: &root,
+                max_support: data.n() - 1,
+            };
+            let level1 = masks.store.refine_parents(cfg, &[root_spec], |_, _| true);
+            let parents: Vec<BitSet> = (0..level1.len()).map(|i| level1.child_bitset(i)).collect();
+            let specs: Vec<ParentSpec<'_>> = parents
+                .iter()
+                .map(|ext| ParentSpec {
+                    ext,
+                    max_support: ext.count() - 1,
+                })
+                .collect();
+            let level2 = masks
+                .store
+                .refine_parents(cfg, &specs, |p, row| row != level1.meta(p).row);
+            assert!(level2.len() > Evaluator::MIN_CHUNK * 2);
+            let intention = |i: usize| {
+                let m = level2.meta(i);
+                Intention::empty()
+                    .with(masks.conditions[level1.meta(m.parent).row])
+                    .with(masks.conditions[m.row])
+            };
+            for threads in [1usize, 3] {
+                let cfg = EvalConfig::with_threads(threads).with_shards(shards);
+                let ev = Evaluator::gaussian(&data, &model, DlParams::default(), cfg);
+                let in_place = ev.score_children(&level2, 0..level2.len(), 2);
+                assert_eq!(in_place.len(), level2.len());
+                for (i, got) in in_place.iter().enumerate() {
+                    let copied = ev
+                        .score_location(&intention(i), &level2.child_bitset(i))
+                        .unwrap();
+                    let (mean, score) = got.as_ref().expect("every child scores");
+                    assert_eq!(score.si.to_bits(), copied.score.si.to_bits(), "child {i}");
+                    assert_eq!(score.ic.to_bits(), copied.score.ic.to_bits());
+                    assert_eq!(mean, &copied.observed_mean);
+                }
+                // A sub-range scores the same children the same way.
+                let tail = ev.score_children(&level2, 5..level2.len(), 2);
+                for (a, b) in tail.iter().zip(&in_place[5..]) {
+                    assert_eq!(
+                        a.as_ref().map(|(_, s)| s.si.to_bits()),
+                        b.as_ref().map(|(_, s)| s.si.to_bits())
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn non_finite_scores_are_numeric_failures() {
+        let (clean, model) = fixture();
+        let mut targets = clean.targets().clone();
+        targets[(3, 0)] = f64::NAN;
+        let data = Dataset::new(
+            "nan",
+            clean.desc_names().to_vec(),
+            clean.desc_cols().to_vec(),
+            clean.target_names().to_vec(),
+            targets,
+        );
+        let ev = Evaluator::gaussian(&data, &model, DlParams::default(), EvalConfig::default());
+        let with_nan = BitSet::from_indices(data.n(), 0..20);
+        let without = BitSet::from_indices(data.n(), 20..40);
+        let err = ev
+            .score_location(&Intention::empty(), &with_nan)
+            .unwrap_err();
+        assert!(
+            matches!(err, SisdError::Model(ModelError::NonFinite)),
+            "{err}"
+        );
+        let out = ev.try_score_all(&[
+            Candidate {
+                intention: Intention::empty(),
+                ext: with_nan,
+            },
+            Candidate {
+                intention: Intention::empty(),
+                ext: without,
+            },
+        ]);
+        assert!(out[0].is_none());
+        assert!(out[1].as_ref().is_some_and(|s| s.score.si.is_finite()));
+        assert_eq!(ev.numeric_failures(), 1);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! distribution so the next iteration looks for *non-redundant* patterns.
 
 use crate::beam::{BeamConfig, BeamResult, BeamSearch};
-use crate::eval::EvalConfig;
+use crate::eval::{EvalConfig, SearchMasks};
 use crate::sphere::{mine_spread_pattern, SphereConfig};
 use sisd_core::{DlParams, LocationPattern, SisdError, SpreadPattern};
 use sisd_data::snap::{atomic_write, put_u64, SnapCursor, SnapError, SnapReader, SnapWriter};
@@ -14,7 +14,7 @@ use sisd_data::Dataset;
 use sisd_model::{BackgroundModel, FactorCache, ModelError, RefitStats};
 use sisd_obs::{Metric, NullSink, Obs, ObsHandle, SearchReport};
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Section id of the miner metadata (iteration counter + dataset stamp).
@@ -135,6 +135,12 @@ pub struct Miner {
     /// within a lineage — so assimilating a pattern extends the cache
     /// instead of invalidating it.
     factor_cache: Arc<FactorCache>,
+    /// The condition language and its masks over `data`, built on the
+    /// first search and reused by every later one. They depend only on
+    /// the dataset and the config, neither of which ever changes, so
+    /// clones share them and snapshots leave them out (a restored miner
+    /// rebuilds them on its first search).
+    masks: Arc<OnceLock<SearchMasks>>,
 }
 
 impl Clone for Miner {
@@ -160,6 +166,7 @@ impl Clone for Miner {
             obs,
             owns_obs,
             factor_cache: Arc::new(FactorCache::new()),
+            masks: Arc::clone(&self.masks),
         }
     }
 }
@@ -185,6 +192,7 @@ impl Miner {
             obs,
             owns_obs,
             factor_cache: Arc::new(FactorCache::new()),
+            masks: Arc::new(OnceLock::new()),
         }
     }
 
@@ -387,12 +395,22 @@ impl Miner {
     /// `config.beam.eval.threads` workers through the shared engine, and
     /// mixed-covariance factorizations are memoized in the miner's
     /// persistent [`FactorCache`] — shared across all searches of this
-    /// miner's model lineage, surviving assimilations unchanged.
+    /// miner's model lineage, surviving assimilations unchanged. The
+    /// condition masks are built on the first search and reused by every
+    /// later one (and by clones); results are bit-identical to a
+    /// [`BeamSearch::run_with_cache`] that builds them afresh.
     pub fn search_locations(&self) -> BeamResult {
-        BeamSearch::new(self.config.beam.clone()).run_with_cache(
+        let start = Instant::now();
+        let beam = &self.config.beam;
+        let masks = self
+            .masks
+            .get_or_init(|| SearchMasks::build(&self.data, &beam.refine, beam.eval.shards));
+        BeamSearch::new(beam.clone()).run_with_masks(
             &self.data,
             &self.model,
             Arc::clone(&self.factor_cache),
+            masks,
+            start,
         )
     }
 
@@ -590,6 +608,86 @@ mod tests {
             "cached and fresh-cache searches must agree bit-for-bit"
         );
         assert!(second.location.score.si.is_finite());
+    }
+
+    #[test]
+    fn masks_are_built_once_shared_by_clones_and_never_snapshotted() {
+        let (data, _) = synthetic_paper(42);
+        let config = MinerConfig {
+            beam: BeamConfig {
+                width: 10,
+                max_depth: 2,
+                top_k: 40,
+                ..BeamConfig::default()
+            },
+            ..quick_config()
+        };
+        let mut miner = Miner::from_empirical(data.clone(), config.clone()).unwrap();
+        assert!(miner.masks.get().is_none(), "masks are built on demand");
+        miner.search_locations();
+        let built = miner
+            .masks
+            .get()
+            .expect("the first search builds the masks") as *const _;
+        // The masks are derived state: they change no byte of the session
+        // snapshot. (A twin whose model ran the same search outside the
+        // miner, so that its lazily cached factors match, never built any.)
+        let twin = Miner::from_empirical(data.clone(), config.clone()).unwrap();
+        BeamSearch::new(config.beam.clone()).run(&twin.data, &twin.model);
+        assert!(twin.masks.get().is_none());
+        assert_eq!(
+            miner.snapshot_bytes().unwrap(),
+            twin.snapshot_bytes().unwrap()
+        );
+        // A heterogeneous model, so later searches do real work.
+        miner.step_with_spread().unwrap().unwrap();
+        assert!(
+            std::ptr::eq(miner.masks.get().unwrap(), built),
+            "built once"
+        );
+
+        let clone = miner.clone();
+        assert!(Arc::ptr_eq(&clone.masks, &miner.masks), "clones share them");
+        let bytes = miner.snapshot_bytes().unwrap();
+        let restored = Miner::restore_bytes(&bytes, data.clone(), config.clone()).unwrap();
+        assert!(restored.masks.get().is_none(), "a restore rebuilds them");
+
+        let key = |r: &BeamResult| {
+            let patterns: Vec<_> = r
+                .top
+                .iter()
+                .map(|p| {
+                    (
+                        p.intention.clone(),
+                        p.extension.clone(),
+                        p.score.si.to_bits(),
+                        p.score.ic.to_bits(),
+                        p.observed_mean
+                            .iter()
+                            .map(|m| m.to_bits())
+                            .collect::<Vec<_>>(),
+                    )
+                })
+                .collect();
+            (r.evaluated, r.degraded, patterns)
+        };
+        let reference = key(&BeamSearch::new(config.beam.clone()).run(&data, miner.model()));
+        assert!(!reference.2.is_empty());
+        for (who, m) in [
+            ("miner", &miner),
+            ("clone", &clone),
+            ("restored", &restored),
+        ] {
+            for search in 0..2 {
+                assert_eq!(
+                    key(&m.search_locations()),
+                    reference,
+                    "{who} search {search}"
+                );
+            }
+        }
+        assert_eq!(restored.snapshot_bytes().unwrap(), bytes);
+        assert_eq!(miner.snapshot_bytes().unwrap(), bytes);
     }
 
     #[test]

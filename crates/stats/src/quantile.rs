@@ -40,13 +40,16 @@ pub fn quantile_sorted(sorted: &[f64], p: f64) -> f64 {
 /// (`k = 4` gives the paper's 20/40/60/80th percentiles), deduplicated and
 /// excluding values equal to the sample min or max (conditions there would
 /// be trivially true/false).
+///
+/// NaNs (missing values) are dropped first: the split points are those of
+/// the remaining values, and a NaN row satisfies no `≥`/`≤` condition.
 pub fn percentile_split_points(xs: &[f64], k: usize) -> Vec<f64> {
     assert!(k >= 1, "percentile_split_points: k must be >= 1");
-    let mut v = xs.to_vec();
+    let mut v: Vec<f64> = xs.iter().copied().filter(|x| !x.is_nan()).collect();
     if v.is_empty() {
         return Vec::new();
     }
-    v.sort_by(|a, b| a.partial_cmp(b).expect("split points: NaN in data"));
+    v.sort_by(|a, b| a.partial_cmp(b).expect("NaNs were dropped"));
     let (min, max) = (v[0], v[v.len() - 1]);
     let mut out = Vec::with_capacity(k);
     for i in 1..=k {
@@ -122,6 +125,37 @@ mod tests {
     fn constant_column_yields_no_splits() {
         let xs = vec![2.0; 50];
         assert!(percentile_split_points(&xs, 4).is_empty());
+    }
+
+    #[test]
+    fn split_points_skip_nans() {
+        // Irregular values, so any change in the sorted sample would move
+        // the interpolated split points.
+        let clean: Vec<f64> = (0..97).map(|i| ((i * i) as f64).sqrt().sin()).collect();
+        // NaN-free columns: bit-identical to the plain sort-and-interpolate
+        // computation.
+        let mut sorted = clean.clone();
+        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        let reference: Vec<f64> = (1..=4)
+            .map(|i| quantile_sorted(&sorted, i as f64 / 5.0))
+            .collect();
+        let sp = percentile_split_points(&clean, 4);
+        assert_eq!(sp.len(), 4);
+        for (a, b) in sp.iter().zip(&reference) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
+        // NaNs anywhere in the column are dropped: the split points are
+        // those of the remaining values, bit for bit.
+        let mut holes = clean.clone();
+        holes.insert(0, f64::NAN);
+        holes.insert(50, f64::NAN);
+        holes.push(f64::NAN);
+        let with_nans = percentile_split_points(&holes, 4);
+        assert_eq!(
+            with_nans.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+            sp.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+        );
+        assert!(percentile_split_points(&[f64::NAN; 5], 4).is_empty());
     }
 
     #[test]

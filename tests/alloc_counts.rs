@@ -11,6 +11,7 @@
 //! borrowing path, which still clones for its callers.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A pass-through allocator that counts allocations and allocated bytes.
@@ -19,10 +20,24 @@ struct CountingAlloc;
 static ALLOCS: AtomicUsize = AtomicUsize::new(0);
 static BYTES: AtomicUsize = AtomicUsize::new(0);
 
+thread_local! {
+    /// Bytes this thread has allocated inside [`privately`], `None`
+    /// outside it. Such allocations skip the global counters, so a test
+    /// run that way neither sees nor disturbs the tests running next to
+    /// it.
+    static THREAD_BYTES: Cell<Option<usize>> = const { Cell::new(None) };
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(layout.size(), Ordering::Relaxed);
+        let private = THREAD_BYTES
+            .try_with(|c| c.get().map(|b| c.set(Some(b + layout.size()))))
+            .ok()
+            .flatten();
+        if private.is_none() {
+            ALLOCS.fetch_add(1, Ordering::Relaxed);
+            BYTES.fetch_add(layout.size(), Ordering::Relaxed);
+        }
         unsafe { System.alloc(layout) }
     }
 
@@ -404,4 +419,87 @@ fn obs_layer_adds_zero_allocations_to_steady_state_beam_levels() {
          as a disabled one on steady-state beam levels \
          (disabled={disabled}, null-sink={null_sink})"
     );
+}
+
+/// Runs `f` with this thread's allocations counted privately (see
+/// [`THREAD_BYTES`]); `f` reads the running count with [`thread_bytes`].
+fn privately<T>(f: impl FnOnce() -> T) -> T {
+    THREAD_BYTES.with(|c| c.set(Some(0)));
+    let out = f();
+    THREAD_BYTES.with(|c| c.set(None));
+    out
+}
+
+/// Bytes allocated so far by this thread inside [`privately`].
+fn thread_bytes() -> usize {
+    THREAD_BYTES
+        .with(Cell::get)
+        .expect("only meaningful inside `privately`")
+}
+
+use sisd::search::{Miner, MinerConfig};
+
+/// Four independent 32-label attributes: a 128-condition language, whose
+/// 128 × `n` mask matrix is large enough that serial multi-parent
+/// refinement takes the grid route.
+fn four_attribute_dataset(n: usize) -> Dataset {
+    let mut rng = Xoshiro256pp::seed_from_u64(29);
+    let mut names = Vec::new();
+    let mut cols = Vec::new();
+    for a in 0..4 {
+        let labels: Vec<String> = (0..n)
+            .map(|_| format!("v{:02}", (rng.uniform() * 32.0) as usize))
+            .collect();
+        names.push(format!("a{a}"));
+        cols.push(Column::categorical_from_strs(
+            &labels.iter().map(String::as_str).collect::<Vec<_>>(),
+        ));
+    }
+    let mut targets = Matrix::zeros(n, 1);
+    for i in 0..n {
+        targets[(i, 0)] = rng.normal();
+    }
+    Dataset::new("four", names, cols, vec!["y".into()], targets)
+}
+
+#[test]
+fn beam_levels_score_children_without_copying_their_extensions() {
+    // A beam level's children live in the frontier's arena, one extension
+    // per child. Before in-place scoring each child was also copied into
+    // an owned `BitSet` (and given an `Intention`) just to be scored, so a
+    // search allocated at least two extensions per scored candidate. Now
+    // only the children the top-k log admits are copied out, and the next
+    // frontier borrows its parents from the arena. Pin it: beyond the
+    // arena's one extension per child, a depth-2 search allocates less
+    // than one more extension per scored candidate. The miner's masks are
+    // built by a warm-up search, outside the count; everything runs on
+    // this thread and is counted privately.
+    const N: usize = 65_536;
+    let ext_bytes = N.div_ceil(64) * std::mem::size_of::<u64>();
+    privately(|| {
+        let config = MinerConfig {
+            beam: BeamConfig {
+                width: 16,
+                max_depth: 2,
+                top_k: 20,
+                ..BeamConfig::default()
+            },
+            ..MinerConfig::default()
+        };
+        let miner = Miner::from_empirical(four_attribute_dataset(N), config).unwrap();
+        let warm = miner.search_locations();
+        let before = thread_bytes();
+        let res = miner.search_locations();
+        let bytes = thread_bytes() - before;
+        assert_eq!(res.evaluated, warm.evaluated);
+        assert!(res.evaluated > 1_000, "level 2 must dominate the search");
+        let arena = res.evaluated * ext_bytes;
+        assert!(bytes >= arena, "the arena holds every scored child");
+        assert!(
+            bytes - arena < res.evaluated * ext_bytes,
+            "scoring must not copy each candidate's extension: {bytes} bytes \
+             for {} candidates of {ext_bytes} bytes each",
+            res.evaluated
+        );
+    });
 }

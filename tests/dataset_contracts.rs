@@ -2,14 +2,17 @@
 //! round-trips through the full stack — these are the guarantees the
 //! experiment harnesses (DESIGN.md §3) build on.
 
+use proptest::prelude::*;
 use sisd::data::csv::{dataset_from_csv_str, dataset_to_csv_string};
 use sisd::data::datasets::{
     crime_synthetic, german_socio_synthetic, mammals_synthetic, synthetic_paper,
     water_quality_synthetic,
 };
-use sisd::data::Dataset;
-use sisd::linalg::Cholesky;
+use sisd::data::shard::ShardPlan;
+use sisd::data::{BitSet, Dataset};
+use sisd::linalg::{Cholesky, Matrix};
 use sisd::model::BackgroundModel;
+use sisd::stats::Xoshiro256pp;
 
 fn check_common_contracts(data: &Dataset) {
     // Shapes are consistent.
@@ -120,4 +123,79 @@ fn mining_a_reloaded_csv_gives_identical_results() {
     // Description columns may render floats with rounding (display_value
     // uses 4 decimals), so compare extensions and SI, not thresholds.
     assert!((b1.score.si - b2.score.si).abs() < 0.5);
+}
+
+/// The subgroup mean as it was computed before the word scan: every
+/// member row added into the accumulator in ascending order through
+/// `BitIter`, then scaled. Kept here as the oracle the word-scan means
+/// must reproduce bit for bit.
+fn per_row_mean(data: &Dataset, ext: &BitSet) -> Vec<u64> {
+    let mut mean = vec![0.0; data.dy()];
+    for i in ext.iter() {
+        sisd::linalg::add_assign(&mut mean, data.target_row(i));
+    }
+    sisd::linalg::scale(1.0 / ext.count() as f64, &mut mean);
+    bits(&mean)
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// `target_mean`, `target_mean_sharded` and their `_words` forms walk
+    /// the extension's words instead of iterating its rows; every column
+    /// must still see the same additions in the same order. Covers row
+    /// counts around the word boundary; one column, a partial register
+    /// group, two full groups, and rows too wide for groups (summed in
+    /// one pass); over full, empty-tail, sparse and random masks.
+    #[test]
+    fn word_scan_means_match_the_per_row_oracle(seed in 0u64..1_000_000) {
+        let mut rng = Xoshiro256pp::seed_from_u64(seed);
+        for dy in [1usize, 3, 16, 20] {
+            for n in [1usize, 63, 64, 65, 1000] {
+                // Wide dynamic range, so any reordered addition would show
+                // in the low bits.
+                let targets: Vec<f64> = (0..n * dy)
+                    .map(|_| rng.normal() * 10f64.powi((rng.uniform() * 12.0) as i32 - 6))
+                    .collect();
+                let data = Dataset::new(
+                    "oracle",
+                    Vec::new(),
+                    Vec::new(),
+                    (0..dy).map(|j| format!("y{j}")).collect(),
+                    Matrix::from_vec(n, dy, targets),
+                );
+                let density = rng.uniform();
+                let masks = [
+                    BitSet::full(n),
+                    // Every row but those in the last (partial or full)
+                    // word: the tail word is empty.
+                    BitSet::from_fn(n, |i| i < (n - 1) / 64 * 64),
+                    BitSet::from_fn(n, |i| i % 7 == 3),
+                    BitSet::from_fn(n, |_| rng.uniform() < density),
+                ];
+                for ext in masks.iter().filter(|m| m.count() > 0) {
+                    let oracle = per_row_mean(&data, ext);
+                    let count = ext.count();
+                    prop_assert_eq!(bits(&data.target_mean(ext)), oracle.clone(), "dy={} n={}", dy, n);
+                    prop_assert_eq!(bits(&data.target_mean_words(ext.words(), count)), oracle.clone());
+                    for s in [1usize, 2, 3, 7] {
+                        let plan = ShardPlan::new(n, s);
+                        prop_assert_eq!(
+                            bits(&data.target_mean_sharded(ext, &plan)),
+                            oracle.clone(),
+                            "dy={} n={} shards={}", dy, n, s
+                        );
+                        prop_assert_eq!(
+                            bits(&data.target_mean_sharded_words(ext.words(), count, &plan)),
+                            oracle.clone()
+                        );
+                    }
+                }
+            }
+        }
+    }
 }

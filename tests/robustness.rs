@@ -3,10 +3,14 @@
 //! eventually feed it.
 
 use sisd::core::{location_si, DlParams, Intention};
+use sisd::data::csv::dataset_from_csv_str;
 use sisd::data::{BitSet, Column, Dataset};
 use sisd::linalg::Matrix;
 use sisd::model::{BackgroundModel, ModelError};
-use sisd::search::{BeamConfig, BeamSearch, Miner, MinerConfig, SphereConfig};
+use sisd::search::{
+    generate_conditions, BeamConfig, BeamSearch, EvalConfig, Miner, MinerConfig, RefineConfig,
+    SphereConfig,
+};
 
 fn tiny_config() -> MinerConfig {
     MinerConfig {
@@ -212,4 +216,100 @@ fn unicode_names_roundtrip() {
     assert!(described.contains("Fläche_km²"));
     assert!(described.contains("groß"));
     assert_eq!(intent.evaluate(&data).to_indices(), vec![0, 2]);
+}
+
+/// One numeric and one categorical descriptor over `n` rows, with
+/// irregular single-column targets.
+fn mixed_dataset(n: usize, targets: Matrix) -> Dataset {
+    Dataset::new(
+        "mixed",
+        vec!["x".into(), "g".into()],
+        vec![
+            Column::Numeric((0..n).map(|i| ((i * 37) % n) as f64).collect()),
+            Column::categorical_from_strs(
+                &(0..n)
+                    .map(|i| ["a", "b", "c", "d"][i % 4])
+                    .collect::<Vec<_>>(),
+            ),
+        ],
+        vec!["y".into()],
+        targets,
+    )
+}
+
+/// A NaN target row makes the subgroup mean — and so the SI — of every
+/// candidate covering it NaN. Those candidates are numeric failures: the
+/// search neither panics (the next-frontier sort used to) nor logs them
+/// (a NaN SI used to land at the head of the top-k log).
+#[test]
+fn nan_target_row_degrades_the_search_instead_of_ranking_nan() {
+    let n = 120;
+    let clean = mixed_dataset(
+        n,
+        Matrix::from_vec(n, 1, (0..n).map(|i| (i as f64 * 0.37).sin()).collect()),
+    );
+    let model = BackgroundModel::from_empirical(&clean).unwrap();
+    let mut targets = clean.targets().clone();
+    targets[(17, 0)] = f64::NAN;
+    let dirty = mixed_dataset(n, targets);
+    for threads in [1usize, 3] {
+        let cfg = BeamConfig {
+            width: 10,
+            max_depth: 2,
+            top_k: 40,
+            min_coverage: 3,
+            eval: EvalConfig::with_threads(threads),
+            ..BeamConfig::default()
+        };
+        let result = BeamSearch::new(cfg).run(&dirty, &model);
+        assert!(
+            result.degraded > 0,
+            "threads={threads}: NaN scores must count"
+        );
+        assert!(!result.top.is_empty());
+        for p in &result.top {
+            assert!(p.score.si.is_finite() && p.score.ic.is_finite());
+            assert!(p.observed_mean.iter().all(|m| m.is_finite()));
+            assert!(!p.extension.contains(17), "a pattern covering the NaN row");
+        }
+        for w in result.top.windows(2) {
+            assert!(w[0].score.si >= w[1].score.si);
+        }
+    }
+}
+
+/// A `NaN` cell in a numeric CSV descriptor column loads as a NaN value.
+/// Split points come from the other values, and the NaN row satisfies no
+/// numeric condition; mining runs clean.
+#[test]
+fn nan_descriptor_cell_matches_no_numeric_condition() {
+    let nan_rows = [7usize, 33];
+    let mut csv = String::from("x,g,y\n");
+    for i in 0..60usize {
+        let x = if nan_rows.contains(&i) {
+            "NaN".to_string()
+        } else {
+            format!("{}", ((i * 7) % 60) as f64 / 3.0)
+        };
+        let g = ["a", "b", "c"][i % 3];
+        csv.push_str(&format!("{x},{g},{}\n", (i as f64 * 0.37).sin()));
+    }
+    let data = dataset_from_csv_str("nan-x", &csv, &["y"]).unwrap();
+    let Column::Numeric(xs) = data.desc_col(0) else {
+        panic!("a column with NaN cells is still numeric");
+    };
+    assert!(xs[7].is_nan() && xs[33].is_nan());
+    let conditions = generate_conditions(&data, &RefineConfig::default());
+    let on_x: Vec<_> = conditions.iter().filter(|c| c.attr == 0).collect();
+    assert_eq!(on_x.len(), 8, "four split points, two operators");
+    for c in on_x {
+        let mask = c.evaluate(&data);
+        for &i in &nan_rows {
+            assert!(!mask.contains(i), "NaN row {i} matched {c:?}");
+        }
+    }
+    let model = BackgroundModel::from_empirical(&data).unwrap();
+    let result = BeamSearch::new(tiny_config().beam).run(&data, &model);
+    assert!(!result.top.is_empty());
+    assert_eq!(result.degraded, 0);
 }
