@@ -191,7 +191,10 @@ impl Dataset {
     /// # Panics
     /// Panics when `count` is zero or `words` does not span `n` rows.
     pub fn target_mean_words(&self, words: &[u64], count: usize) -> Vec<f64> {
-        self.mean_of(words, count, |acc| self.add_rows(words, 0, acc))
+        assert!(count > 0, "target_mean: empty extension");
+        let mut mean = self.target_sum_words(words);
+        sisd_linalg::scale(1.0 / count as f64, &mut mean);
+        mean
     }
 
     /// Sum of the target rows of the extension packed in `words`, added
@@ -201,9 +204,13 @@ impl Dataset {
     /// # Panics
     /// Panics when `words` does not span `n` rows.
     pub fn target_sum_words(&self, words: &[u64]) -> Vec<f64> {
-        self.check_words(words);
+        assert_eq!(
+            words.len(),
+            self.n().div_ceil(WORD_BITS),
+            "target mean: extension does not span the dataset's rows"
+        );
         let mut sum = vec![0.0; self.dy()];
-        self.add_rows(words, 0, &mut sum);
+        self.add_rows(words, &mut sum);
         sum
     }
 
@@ -212,12 +219,10 @@ impl Dataset {
         self.target_mean(&BitSet::full(self.n()))
     }
 
-    /// [`Dataset::target_mean`] aggregated shard by shard: each shard's
-    /// word range is folded into one running accumulator **in shard
-    /// order**. Because a [`ShardPlan`]'s shards are contiguous and
-    /// ascending, the fold performs exactly the additions of the
-    /// full-dataset scan in exactly the same order, so the result is
-    /// **bit-identical** to `target_mean(ext)` for any shard count — the
+    /// [`Dataset::target_mean`] under a row-range [`ShardPlan`]. A plan's
+    /// shards are contiguous and ascending, so visiting them in order adds
+    /// the rows in exactly the full scan's order: the sharded mean *is*
+    /// `target_mean(ext)`, bit for bit, at any shard count — the
     /// determinism contract of the sharded evaluation path. (Per-shard
     /// partial sums combined at the end would *not* be: float addition is
     /// non-associative.)
@@ -226,86 +231,31 @@ impl Dataset {
     /// Panics when the extension is empty or the plan's row count differs
     /// from the dataset's.
     pub fn target_mean_sharded(&self, ext: &BitSet, plan: &ShardPlan) -> Vec<f64> {
-        self.target_mean_sharded_words(ext.words(), ext.count(), plan)
-    }
-
-    /// [`Dataset::target_mean_sharded`] over packed words with a known
-    /// member count (see [`Dataset::target_mean_words`]).
-    ///
-    /// # Panics
-    /// Panics when `count` is zero, `words` does not span `n` rows, or the
-    /// plan's row count differs from the dataset's.
-    pub fn target_mean_sharded_words(
-        &self,
-        words: &[u64],
-        count: usize,
-        plan: &ShardPlan,
-    ) -> Vec<f64> {
         assert_eq!(plan.n(), self.n(), "target_mean_sharded: plan mismatch");
-        self.mean_of(words, count, |acc| {
-            for s in 0..plan.shards() {
-                let wr = plan.word_range(s);
-                self.add_rows(&words[wr.clone()], wr.start, acc);
-            }
-        })
-    }
-
-    fn check_words(&self, words: &[u64]) {
-        assert_eq!(
-            words.len(),
-            self.n().div_ceil(WORD_BITS),
-            "target mean: extension does not span the dataset's rows"
-        );
-    }
-
-    /// Runs `fold` over a zeroed accumulator and divides by `count`.
-    fn mean_of(&self, words: &[u64], count: usize, fold: impl FnOnce(&mut [f64])) -> Vec<f64> {
-        assert!(count > 0, "target_mean: empty extension");
-        self.check_words(words);
-        let mut mean = vec![0.0; self.dy()];
-        fold(&mut mean);
-        sisd_linalg::scale(1.0 / count as f64, &mut mean);
-        mean
+        self.target_mean(ext)
     }
 
     /// Adds the target row of every set bit of `words` to `acc`, in
-    /// ascending row order; `words[0]` is word `first_word` of the full
-    /// extension. Each column sees the same additions in the same order as
-    /// a per-row `add_assign` loop, so the sums are bit-identical to it.
-    ///
-    /// Narrow rows are summed up to eight columns at a time in local
-    /// accumulators, walking the words once per group: a column's running
-    /// sum then stays in a register instead of making a store-to-load
-    /// round trip per row, which is what bounds the per-row loop. Wide
-    /// rows (many independent columns per row, which hide that latency)
-    /// take one pass.
-    fn add_rows(&self, words: &[u64], first_word: usize, acc: &mut [f64]) {
-        let dy = acc.len();
+    /// ascending row order. Each column sees the same additions in the
+    /// same order as a per-row `add_assign` loop, so the sums are
+    /// bit-identical to it. A single column's running sum is kept in a
+    /// register: through `acc` every row would make a store-to-load round
+    /// trip, which bounds the per-row loop. Wider rows have independent
+    /// columns to hide that latency.
+    fn add_rows(&self, words: &[u64], acc: &mut [f64]) {
         let targets = self.targets.as_slice();
-        if dy > 2 * REGISTER_COLUMNS {
-            for_each_member(words, first_word, |row| {
-                for (a, y) in acc.iter_mut().zip(&targets[row * dy..(row + 1) * dy]) {
-                    *a += y;
-                }
-            });
+        if let [sum] = acc {
+            let mut s = *sum;
+            for_each_member(words, |row| s += targets[row]);
+            *sum = s;
             return;
         }
-        let mut j0 = 0;
-        while j0 < dy {
-            let cols = (dy - j0).min(REGISTER_COLUMNS);
-            let group = &mut acc[j0..j0 + cols];
-            match cols {
-                1 => add_columns::<1>(targets, dy, j0, words, first_word, group),
-                2 => add_columns::<2>(targets, dy, j0, words, first_word, group),
-                3 => add_columns::<3>(targets, dy, j0, words, first_word, group),
-                4 => add_columns::<4>(targets, dy, j0, words, first_word, group),
-                5 => add_columns::<5>(targets, dy, j0, words, first_word, group),
-                6 => add_columns::<6>(targets, dy, j0, words, first_word, group),
-                7 => add_columns::<7>(targets, dy, j0, words, first_word, group),
-                _ => add_columns::<REGISTER_COLUMNS>(targets, dy, j0, words, first_word, group),
+        let dy = acc.len();
+        for_each_member(words, |row| {
+            for (a, y) in acc.iter_mut().zip(&targets[row * dy..(row + 1) * dy]) {
+                *a += y;
             }
-            j0 += cols;
-        }
+        });
     }
 
     /// Empirical (population) covariance of the targets over an extension,
@@ -413,47 +363,17 @@ impl Dataset {
     }
 }
 
-/// Columns [`Dataset`]'s subgroup sums keep in registers per pass.
-const REGISTER_COLUMNS: usize = 8;
-
-/// Calls `f(row)` for every set bit of `words`, in ascending row order;
-/// `words[0]` is word `first_word` of the full extension.
+/// Calls `f(row)` for every set bit of `words`, in ascending row order.
 #[inline(always)]
-fn for_each_member(words: &[u64], first_word: usize, mut f: impl FnMut(usize)) {
+fn for_each_member(words: &[u64], mut f: impl FnMut(usize)) {
     for (k, &word) in words.iter().enumerate() {
-        let base = (first_word + k) * WORD_BITS;
+        let base = k * WORD_BITS;
         let mut w = word;
         while w != 0 {
             f(base + w.trailing_zeros() as usize);
             w &= w - 1;
         }
     }
-}
-
-/// Adds columns `j0..j0 + B` of the member rows of `words` (row-major
-/// `targets`, `dy` columns) to `acc`, holding the `B` running sums in
-/// locals for the whole walk.
-#[inline(always)]
-fn add_columns<const B: usize>(
-    targets: &[f64],
-    dy: usize,
-    j0: usize,
-    words: &[u64],
-    first_word: usize,
-    acc: &mut [f64],
-) {
-    let mut sums = [0.0f64; B];
-    sums.copy_from_slice(acc);
-    for_each_member(words, first_word, |row| {
-        let start = row * dy + j0;
-        let y: &[f64; B] = targets[start..start + B]
-            .try_into()
-            .expect("a range of B columns");
-        for b in 0..B {
-            sums[b] += y[b];
-        }
-    });
-    acc.copy_from_slice(&sums);
 }
 
 #[cfg(test)]

@@ -75,46 +75,17 @@ impl Default for FrontierConfig {
     }
 }
 
-/// Read access to the packed words of an extension: bit `i` of word `k`
-/// is row `64k + i`, and bits past the row count are clear.
-pub trait ExtWords {
-    /// The extension's words.
-    fn words(&self) -> &[u64];
-}
-
-impl ExtWords for BitSet {
-    fn words(&self) -> &[u64] {
-        BitSet::words(self)
-    }
-}
-
-/// A borrowed word row, e.g. a child of a retained [`ChildBatch`]: it
-/// can parent the next level without being copied out of the arena.
-impl ExtWords for [u64] {
-    fn words(&self) -> &[u64] {
-        self
-    }
-}
-
 /// One frontier parent awaiting refinement.
-#[derive(Debug)]
-pub struct ParentSpec<'a, E: ?Sized = BitSet> {
-    /// The parent's extension: a [`BitSet`], or the bare words of one.
-    pub ext: &'a E,
+#[derive(Debug, Clone, Copy)]
+pub struct ParentSpec<'a> {
+    /// The parent's extension.
+    pub ext: &'a BitSet,
     /// Children covering more rows than this are dropped. Searches encode
     /// their structural filters here: a beam passes
     /// `min(max_coverage, parent_support − 1)` (which also drops children
     /// equal to their parent), branch-and-bound passes `n` at the root.
     pub max_support: usize,
 }
-
-impl<E: ?Sized> Clone for ParentSpec<'_, E> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-
-impl<E: ?Sized> Copy for ParentSpec<'_, E> {}
 
 /// Identity and support of one emitted child.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -361,9 +332,8 @@ impl<'m> FrontierBuilder<'m> {
     /// without writing any child words, and only the children passing the
     /// filters are materialized into the batch. Output is bit-identical to
     /// [`FrontierBuilder::refine_parents_single_pass`].
-    pub fn refine_parents<E, F>(&self, parents: &[ParentSpec<'_, E>], allowed: F) -> ChildBatch
+    pub fn refine_parents<F>(&self, parents: &[ParentSpec<'_>], allowed: F) -> ChildBatch
     where
-        E: ExtWords + ?Sized + Sync,
         F: Fn(usize, usize) -> bool + Sync,
     {
         self.refine_with_prune(parents, allowed, |_, _, _| true)
@@ -380,14 +350,13 @@ impl<'m> FrontierBuilder<'m> {
     /// thread count, and a branch-and-bound optimistic-bound predicate
     /// prunes doomed candidates before they are materialized rather than
     /// after they are scored.
-    pub fn refine_with_prune<E, F, P>(
+    pub fn refine_with_prune<F, P>(
         &self,
-        parents: &[ParentSpec<'_, E>],
+        parents: &[ParentSpec<'_>],
         allowed: F,
         mut keep: P,
     ) -> ChildBatch
     where
-        E: ExtWords + ?Sized + Sync,
         F: Fn(usize, usize) -> bool + Sync,
         P: FnMut(usize, usize, usize) -> bool,
     {
@@ -396,8 +365,8 @@ impl<'m> FrontierBuilder<'m> {
         let n = self.matrix.n();
         for p in parents {
             assert_eq!(
-                p.ext.words().len(),
-                stride,
+                p.ext.len(),
+                n,
                 "refine_with_prune: parent capacity mismatch"
             );
         }
@@ -552,14 +521,13 @@ impl<'m> FrontierBuilder<'m> {
     /// output to the two-pass form by construction — both visit
     /// `(parent, row)` in serial order and compute each child as the same
     /// pure AND.
-    fn refine_fused_serial<E, F, P>(
+    fn refine_fused_serial<F, P>(
         &self,
-        parents: &[ParentSpec<'_, E>],
+        parents: &[ParentSpec<'_>],
         allowed: F,
         mut keep: P,
     ) -> ChildBatch
     where
-        E: ExtWords + ?Sized + Sync,
         F: Fn(usize, usize) -> bool,
         P: FnMut(usize, usize, usize) -> bool,
     {
@@ -622,13 +590,12 @@ impl<'m> FrontierBuilder<'m> {
     /// count-first implementation (parity proptests and the benches
     /// compare against it) and as the better shape for callers that keep
     /// nearly every child.
-    pub fn refine_parents_single_pass<E, F>(
+    pub fn refine_parents_single_pass<F>(
         &self,
-        parents: &[ParentSpec<'_, E>],
+        parents: &[ParentSpec<'_>],
         allowed: F,
     ) -> ChildBatch
     where
-        E: ExtWords + ?Sized + Sync,
         F: Fn(usize, usize) -> bool + Sync,
     {
         let rows = self.matrix.rows();
@@ -703,9 +670,9 @@ impl<'m> FrontierBuilder<'m> {
 /// `min_support..=parent.max_support`. The AND and the popcount are fused
 /// into one pass per row ([`kernels::and_into_count`]) through a
 /// caller-owned scratch buffer, so rejected candidates allocate nothing.
-pub fn refine_block<E: ExtWords + ?Sized>(
+pub fn refine_block(
     matrix: &MaskMatrix,
-    parent: ParentSpec<'_, E>,
+    parent: ParentSpec<'_>,
     rows: std::ops::Range<usize>,
     min_support: usize,
     mut allowed: impl FnMut(usize) -> bool,
@@ -713,8 +680,8 @@ pub fn refine_block<E: ExtWords + ?Sized>(
     mut emit: impl FnMut(usize, usize, &[u64]),
 ) {
     assert_eq!(
-        parent.ext.words().len(),
-        matrix.stride(),
+        parent.ext.len(),
+        matrix.n(),
         "refine_block: parent capacity mismatch"
     );
     let parent_words = parent.ext.words();
@@ -915,9 +882,7 @@ mod tests {
     fn empty_parents_or_rows_yield_no_children() {
         let matrix = MaskMatrix::from_bitsets(50, Vec::<BitSet>::new());
         let builder = FrontierBuilder::new(&matrix, FrontierConfig::default());
-        assert!(builder
-            .refine_parents::<BitSet, _>(&[], |_, _| true)
-            .is_empty());
+        assert!(builder.refine_parents(&[], |_, _| true).is_empty());
         let full = BitSet::full(50);
         let parents = [ParentSpec {
             ext: &full,

@@ -66,7 +66,7 @@ pub mod matrix;
 pub mod sharded;
 
 pub use builder::{
-    dedup_in_order, refine_block, ChildBatch, ChildMeta, ExtWords, FrontierBuilder, FrontierConfig,
+    dedup_in_order, refine_block, ChildBatch, ChildMeta, FrontierBuilder, FrontierConfig,
     ParentSpec,
 };
 pub use exec::{ExecHandle, ShardExecutor};

@@ -40,7 +40,7 @@ use crate::builder::{
 };
 use crate::exec::ShardExecutor;
 use crate::matrix::MaskMatrix;
-use crate::{ChildBatch, ChildMeta, ExtWords, FrontierBuilder, FrontierConfig, ParentSpec};
+use crate::{ChildBatch, ChildMeta, FrontierBuilder, FrontierConfig, ParentSpec};
 use sisd_core::Condition;
 use sisd_data::shard::ShardPlan;
 use sisd_data::{kernels, BitSet, Dataset, ShardedDataset};
@@ -212,9 +212,8 @@ impl<'m> ShardedFrontierBuilder<'m> {
     ///
     /// # Panics
     /// Panics when a parent's capacity differs from the plan's row count.
-    pub fn refine_parents<E, F>(&self, parents: &[ParentSpec<'_, E>], allowed: F) -> ChildBatch
+    pub fn refine_parents<F>(&self, parents: &[ParentSpec<'_>], allowed: F) -> ChildBatch
     where
-        E: ExtWords + ?Sized + Sync,
         F: Fn(usize, usize) -> bool + Sync,
     {
         self.refine_with_prune(parents, allowed, |_, _, _| true)
@@ -226,14 +225,13 @@ impl<'m> ShardedFrontierBuilder<'m> {
     /// identical contract: `keep(parent, row, support)` sees **global**
     /// (cross-shard-summed) supports, once per support-passing child, in
     /// `(parent, row)` order, on the calling thread.
-    pub fn refine_with_prune<E, F, P>(
+    pub fn refine_with_prune<F, P>(
         &self,
-        parents: &[ParentSpec<'_, E>],
+        parents: &[ParentSpec<'_>],
         allowed: F,
         mut keep: P,
     ) -> ChildBatch
     where
-        E: ExtWords + ?Sized + Sync,
         F: Fn(usize, usize) -> bool + Sync,
         P: FnMut(usize, usize, usize) -> bool,
     {
@@ -243,8 +241,8 @@ impl<'m> ShardedFrontierBuilder<'m> {
         let total_stride = plan.n().div_ceil(sisd_data::bitset::WORD_BITS);
         for p in parents {
             assert_eq!(
-                p.ext.words().len(),
-                total_stride,
+                p.ext.len(),
+                plan.n(),
                 "ShardedFrontierBuilder: parent capacity mismatch"
             );
         }
@@ -413,15 +411,14 @@ impl<'m> ShardedFrontierBuilder<'m> {
     /// and bumps [`Metric::ExecutorFallbacks`]; a failed `load` demotes
     /// the whole shard for this call. Counts and words are exact either
     /// way, so fallback never changes the output.
-    fn refine_with_prune_exec<E, F, P>(
+    fn refine_with_prune_exec<F, P>(
         &self,
         exec: &'static dyn ShardExecutor,
-        parents: &[ParentSpec<'_, E>],
+        parents: &[ParentSpec<'_>],
         allowed: F,
         mut keep: P,
     ) -> ChildBatch
     where
-        E: ExtWords + ?Sized + Sync,
         F: Fn(usize, usize) -> bool + Sync,
         P: FnMut(usize, usize, usize) -> bool,
     {
@@ -609,14 +606,13 @@ impl<'m> ShardedFrontierBuilder<'m> {
     /// materialize the block's survivors shard by shard while the rows
     /// are cache-resident. Identical output to the two-pass form by
     /// construction.
-    fn refine_fused_serial<E, F, P>(
+    fn refine_fused_serial<F, P>(
         &self,
-        parents: &[ParentSpec<'_, E>],
+        parents: &[ParentSpec<'_>],
         allowed: F,
         mut keep: P,
     ) -> ChildBatch
     where
-        E: ExtWords + ?Sized + Sync,
         F: Fn(usize, usize) -> bool,
         P: FnMut(usize, usize, usize) -> bool,
     {
@@ -697,13 +693,12 @@ impl<'m> ShardedFrontierBuilder<'m> {
     /// compare against it). Its documented cost — every candidate buffers
     /// its per-shard partial words even when about to be rejected — is
     /// exactly what [`ShardedFrontierBuilder::refine_with_prune`] removes.
-    pub fn refine_parents_single_pass<E, F>(
+    pub fn refine_parents_single_pass<F>(
         &self,
-        parents: &[ParentSpec<'_, E>],
+        parents: &[ParentSpec<'_>],
         allowed: F,
     ) -> ChildBatch
     where
-        E: ExtWords + ?Sized + Sync,
         F: Fn(usize, usize) -> bool + Sync,
     {
         let plan = self.matrix.plan();
@@ -712,8 +707,8 @@ impl<'m> ShardedFrontierBuilder<'m> {
         let total_stride = plan.n().div_ceil(sisd_data::bitset::WORD_BITS);
         for p in parents {
             assert_eq!(
-                p.ext.words().len(),
-                total_stride,
+                p.ext.len(),
+                plan.n(),
                 "ShardedFrontierBuilder: parent capacity mismatch"
             );
         }
@@ -870,14 +865,13 @@ impl MaskStore {
     /// Refines `parents` against every allowed mask under `config`,
     /// dispatching to the layout's builder. Output is bit-identical
     /// across layouts.
-    pub fn refine_parents<E, F>(
+    pub fn refine_parents<F>(
         &self,
         config: FrontierConfig,
-        parents: &[ParentSpec<'_, E>],
+        parents: &[ParentSpec<'_>],
         allowed: F,
     ) -> ChildBatch
     where
-        E: ExtWords + ?Sized + Sync,
         F: Fn(usize, usize) -> bool + Sync,
     {
         self.refine_with_prune(config, parents, allowed, |_, _, _| true)
@@ -889,15 +883,14 @@ impl MaskStore {
     /// support)` sees global supports in `(parent, row)` order on the
     /// calling thread, and a `false` drops the child before any of its
     /// words are computed — on either layout.
-    pub fn refine_with_prune<E, F, P>(
+    pub fn refine_with_prune<F, P>(
         &self,
         config: FrontierConfig,
-        parents: &[ParentSpec<'_, E>],
+        parents: &[ParentSpec<'_>],
         allowed: F,
         keep: P,
     ) -> ChildBatch
     where
-        E: ExtWords + ?Sized + Sync,
         F: Fn(usize, usize) -> bool + Sync,
         P: FnMut(usize, usize, usize) -> bool,
     {
@@ -1012,9 +1005,7 @@ mod tests {
         let plan = ShardPlan::new(100, 7); // trailing shards empty
         let sharded = ShardedMaskMatrix::from_parts(plan.clone(), shard_matrices(&[], &plan));
         let builder = ShardedFrontierBuilder::new(&sharded, FrontierConfig::default());
-        assert!(builder
-            .refine_parents::<BitSet, _>(&[], |_, _| true)
-            .is_empty());
+        assert!(builder.refine_parents(&[], |_, _| true).is_empty());
         let full = BitSet::full(100);
         let parents = [ParentSpec {
             ext: &full,

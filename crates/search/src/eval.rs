@@ -411,18 +411,7 @@ impl<'a> Evaluator<'a> {
                 return mean;
             }
         }
-        self.fallback_mean(words, support)
-    }
-
-    /// The row-scan observed mean, aggregated per shard when the engine is
-    /// sharded. The sharded fold visits rows in exactly the unsharded
-    /// ascending order (see `Dataset::target_mean_sharded`), so the two
-    /// are bit-identical.
-    fn fallback_mean(&self, words: &[u64], support: usize) -> Vec<f64> {
-        match &self.plan {
-            Some(plan) => self.data.target_mean_sharded_words(words, support, plan),
-            None => self.data.target_mean_words(words, support),
-        }
+        self.data.target_mean_words(words, support)
     }
 
     /// Observed mean and SI breakdown of one candidate of the given
@@ -430,8 +419,8 @@ impl<'a> Evaluator<'a> {
     /// `support` rows — the scoring core of every entry point, borrowed
     /// or owned, and of the beam's in-place child scoring. When the engine
     /// is sharded, the cell-count signature is summed from per-shard word
-    /// slices and the row-scan mean folds shard by shard; both reproduce
-    /// the unsharded bits exactly.
+    /// slices, which reproduces the unsharded counts exactly; the row-scan
+    /// mean needs no shard split (see `Dataset::target_mean_sharded`).
     ///
     /// A non-finite IC or SI (a NaN or infinite target inside the
     /// extension) is a numeric failure: it never reaches a ranking.
@@ -455,7 +444,7 @@ impl<'a> Evaluator<'a> {
                 (observed, ic)
             }
             Backend::Bernoulli { model } => {
-                let observed = self.fallback_mean(words, support);
+                let observed = self.data.target_mean_words(words, support);
                 let counts = model.cell_counts_with(|cell| self.intersection_count(cell, words));
                 let ic = model.location_ic_for_counts(&counts, &observed)?;
                 (observed, ic)
@@ -800,12 +789,11 @@ struct LevelEntry {
     score: LocationScore,
 }
 
-/// A parent of the next level: its description, and where its extension
-/// words sit in the retained batches of the level that produced it.
+/// A parent of the next level: its description, extension and support.
 struct Keeper {
     intention: Intention,
-    batch: usize,
-    child: usize,
+    ext: BitSet,
+    support: usize,
 }
 
 /// The level-wise beam search (paper §II-D), generic over the evaluation
@@ -833,9 +821,9 @@ struct Keeper {
 /// frontier's `ChildBatch` arena: scoring reads a child's words there and
 /// takes its support from its metadata. A child's intention and owned
 /// extension are built only when the top-k log admits it (in scored
-/// order, level by level), and the next frontier borrows its `width`
-/// parents' words from the retained level's arena. So no per-candidate
-/// extension copy and no per-level parent clone exists (pinned by
+/// order, level by level), and only the `width` parents of the next
+/// frontier are copied out of the arena, after which the level's batches
+/// are dropped. So no per-candidate extension copy exists (pinned by
 /// `tests/alloc_counts.rs`).
 ///
 /// The wall-clock budget is honoured during both phases of a level:
@@ -871,9 +859,6 @@ pub(crate) fn run_beam_levels(
     let mut seen: HashSet<Vec<(usize, u8, u64)>> = HashSet::new();
     let root_intent = Intention::empty();
     let root_ext = BitSet::full(data.n());
-    // The previous level's batches, retained so the next frontier can
-    // borrow its parents' words from them, and those parents.
-    let mut prev: Vec<ChildBatch> = Vec::new();
     let mut keepers: Vec<Keeper> = Vec::new();
 
     for depth in 1..=cfg.max_depth {
@@ -884,9 +869,9 @@ pub(crate) fn run_beam_levels(
         // children: a child covering as many rows as its parent is the
         // same extension with a longer description (dominated), so the
         // per-parent ceiling is one less.
-        let (intents, parents): (Vec<&Intention>, Vec<ParentSpec<'_, [u64]>>) = if depth == 1 {
+        let (intents, parents): (Vec<&Intention>, Vec<ParentSpec<'_>>) = if depth == 1 {
             let spec = ParentSpec {
-                ext: root_ext.words(),
+                ext: &root_ext,
                 max_support: max_cov.min(data.n().saturating_sub(1)),
             };
             (vec![&root_intent], vec![spec])
@@ -894,10 +879,9 @@ pub(crate) fn run_beam_levels(
             keepers
                 .iter()
                 .map(|k| {
-                    let batch = &prev[k.batch];
                     let spec = ParentSpec {
-                        ext: batch.child_words(k.child),
-                        max_support: max_cov.min(batch.meta(k.child).support.saturating_sub(1)),
+                        ext: &k.ext,
+                        max_support: max_cov.min(k.support.saturating_sub(1)),
                     };
                     (&k.intention, spec)
                 })
@@ -976,8 +960,8 @@ pub(crate) fn run_beam_levels(
         let done = timed_out || level.is_empty();
         // Select the next frontier: a stable index sort by SI descending
         // (ties keep scored order; scores are finite, see
-        // `Evaluator::score_parts`). Keepers address their words in the
-        // level's batches, which are retained for the next level.
+        // `Evaluator::score_parts`). Only the keepers' extensions are
+        // copied out of the level's batches.
         let mut next: Vec<Keeper> = Vec::new();
         if !done && depth < cfg.max_depth {
             let mut order: Vec<usize> = (0..level.len()).collect();
@@ -997,8 +981,8 @@ pub(crate) fn run_beam_levels(
                     let m = batch.meta(e.child);
                     Keeper {
                         intention: intents[base + m.parent].with(conditions[m.row]),
-                        batch: e.batch,
-                        child: e.child,
+                        ext: batch.child_bitset(e.child),
+                        support: m.support,
                     }
                 })
                 .collect();
@@ -1020,7 +1004,6 @@ pub(crate) fn run_beam_levels(
         if done {
             break;
         }
-        prev = batches.into_iter().map(|(_, batch)| batch).collect();
         keepers = next;
     }
     ev.publish_stats();

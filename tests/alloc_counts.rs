@@ -468,8 +468,8 @@ fn beam_levels_score_children_without_copying_their_extensions() {
     // per child. Before in-place scoring each child was also copied into
     // an owned `BitSet` (and given an `Intention`) just to be scored, so a
     // search allocated at least two extensions per scored candidate. Now
-    // only the children the top-k log admits are copied out, and the next
-    // frontier borrows its parents from the arena. Pin it: beyond the
+    // only the children the top-k log admits and the `width` parents of
+    // the next level are copied out. Pin it: beyond the
     // arena's one extension per child, a depth-2 search allocates less
     // than one more extension per scored candidate. The miner's masks are
     // built by a warm-up search, outside the count; everything runs on

@@ -145,16 +145,15 @@ fn bits(v: &[f64]) -> Vec<u64> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// `target_mean`, `target_mean_sharded` and their `_words` forms walk
+    /// `target_mean`, `target_mean_words` and `target_mean_sharded` walk
     /// the extension's words instead of iterating its rows; every column
     /// must still see the same additions in the same order. Covers row
-    /// counts around the word boundary; one column, a partial register
-    /// group, two full groups, and rows too wide for groups (summed in
-    /// one pass); over full, empty-tail, sparse and random masks.
+    /// counts around the word boundary; one column (summed in a register)
+    /// and wider rows; over full, empty-tail, sparse and random masks.
     #[test]
     fn word_scan_means_match_the_per_row_oracle(seed in 0u64..1_000_000) {
         let mut rng = Xoshiro256pp::seed_from_u64(seed);
-        for dy in [1usize, 3, 16, 20] {
+        for dy in [1usize, 3, 16] {
             for n in [1usize, 63, 64, 65, 1000] {
                 // Wide dynamic range, so any reordered addition would show
                 // in the low bits.
@@ -188,10 +187,6 @@ proptest! {
                             bits(&data.target_mean_sharded(ext, &plan)),
                             oracle.clone(),
                             "dy={} n={} shards={}", dy, n, s
-                        );
-                        prop_assert_eq!(
-                            bits(&data.target_mean_sharded_words(ext.words(), count, &plan)),
-                            oracle.clone()
                         );
                     }
                 }
