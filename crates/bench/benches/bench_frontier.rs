@@ -1,25 +1,23 @@
 //! Frontier-generation throughput: the batched `sisd-frontier` refinement
 //! (contiguous bit-matrix, fused AND+popcount kernels, count-first
 //! two-pass split, allocation only for surviving children) against the
-//! per-candidate `BitSet::and` + `count` loop it replaced and against the
-//! single-pass (PR 4) builder, on a dense synthetic workload shaped like a
-//! wide beam level: 32 frontier parents × 256 condition masks over 8192
-//! rows, with a support floor that keeps roughly half the children — the
-//! rejected half is exactly what count-first refinement never
-//! materializes.
+//! per-candidate `BitSet::and` + `count` loop it replaced, on a dense
+//! synthetic workload shaped like a wide beam level: 32 frontier parents ×
+//! 256 condition masks over 8192 rows, with a support floor that keeps
+//! roughly half the children — the rejected half is exactly what
+//! count-first refinement never materializes.
 //!
-//! All paths produce identical children (asserted before timing — these
-//! asserts double as CI's cheap end-to-end parity gate, see the
-//! bench-parity smoke step in the workflow); the thread variants are
-//! bit-identical by the frontier determinism contract and bounded by the
-//! machine's available parallelism (coincident on a single-core
-//! container).
+//! Every timed refinement path is asserted identical to the per-candidate
+//! loop before timing (these asserts double as CI's cheap end-to-end
+//! parity gate, see the bench-parity smoke step in the workflow); the
+//! thread variants are bit-identical by the frontier determinism contract
+//! and bounded by the machine's available parallelism (coincident on a
+//! single-core container).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sisd_data::{kernels, BitSet, ShardPlan};
 use sisd_frontier::{
     ChildBatch, ChildMeta, FrontierBuilder, FrontierConfig, MaskMatrix, ParentSpec,
-    ShardedFrontierBuilder, ShardedMaskMatrix,
 };
 use sisd_stats::Xoshiro256pp;
 use std::hint::black_box;
@@ -60,14 +58,18 @@ fn workload(seed: u64) -> Workload {
 /// The pre-refactor generation loop: one `BitSet::and` allocation plus a
 /// separate `count` traversal per (parent, condition) pair, masks held as
 /// scattered per-condition bitsets.
-fn per_candidate_loop(w: &Workload) -> Vec<(ChildMeta, BitSet)> {
+fn per_candidate_loop(
+    masks: &[BitSet],
+    parents: &[BitSet],
+    min_support: usize,
+) -> Vec<(ChildMeta, BitSet)> {
     let mut out = Vec::new();
-    for (p, parent) in w.parents.iter().enumerate() {
+    for (p, parent) in parents.iter().enumerate() {
         let max_support = parent.count().saturating_sub(1);
-        for (row, mask) in w.masks.iter().enumerate() {
+        for (row, mask) in masks.iter().enumerate() {
             let ext = parent.and(mask);
             let support = ext.count();
-            if support >= MIN_SUPPORT && support <= max_support {
+            if support >= min_support && support <= max_support {
                 out.push((
                     ChildMeta {
                         parent: p,
@@ -82,9 +84,14 @@ fn per_candidate_loop(w: &Workload) -> Vec<(ChildMeta, BitSet)> {
     out
 }
 
-fn batched(w: &Workload, threads: usize) -> ChildBatch {
-    let parents: Vec<ParentSpec<'_>> = w
-        .parents
+/// Count-first refinement of every parent against every row of `matrix`.
+fn batched(
+    matrix: &MaskMatrix,
+    parents: &[BitSet],
+    min_support: usize,
+    threads: usize,
+) -> ChildBatch {
+    let parents: Vec<ParentSpec<'_>> = parents
         .iter()
         .map(|ext| ParentSpec {
             ext,
@@ -92,37 +99,14 @@ fn batched(w: &Workload, threads: usize) -> ChildBatch {
         })
         .collect();
     FrontierBuilder::new(
-        &w.matrix,
+        matrix,
         FrontierConfig {
-            min_support: MIN_SUPPORT,
+            min_support,
             threads,
             ..FrontierConfig::default()
         },
     )
     .refine_parents(&parents, |_, _| true)
-}
-
-/// The PR 4 single-pass builder on the same workload (fused AND + store +
-/// popcount for every candidate, filters inline) — the baseline the
-/// count-first split is measured against.
-fn batched_single_pass(w: &Workload, threads: usize) -> ChildBatch {
-    let parents: Vec<ParentSpec<'_>> = w
-        .parents
-        .iter()
-        .map(|ext| ParentSpec {
-            ext,
-            max_support: ext.count().saturating_sub(1),
-        })
-        .collect();
-    FrontierBuilder::new(
-        &w.matrix,
-        FrontierConfig {
-            min_support: MIN_SUPPORT,
-            threads,
-            ..FrontierConfig::default()
-        },
-    )
-    .refine_parents_single_pass(&parents, |_, _| true)
 }
 
 fn assert_identical(a: &ChildBatch, b: &[(ChildMeta, BitSet)]) {
@@ -135,143 +119,64 @@ fn assert_identical(a: &ChildBatch, b: &[(ChildMeta, BitSet)]) {
 
 fn bench_frontier_generation(c: &mut Criterion) {
     let w = workload(17);
-    let reference = per_candidate_loop(&w);
+    let reference = per_candidate_loop(&w.masks, &w.parents, MIN_SUPPORT);
     assert!(
         !reference.is_empty() && reference.len() < N_PARENTS * N_CONDITIONS,
         "workload must both keep and reject children (kept {})",
         reference.len()
     );
     for threads in [1usize, 2, 4] {
-        assert_identical(&batched(&w, threads), &reference);
-        assert_identical(&batched_single_pass(&w, threads), &reference);
+        assert_identical(
+            &batched(&w.matrix, &w.parents, MIN_SUPPORT, threads),
+            &reference,
+        );
     }
 
     let mut group = c.benchmark_group("frontier_generation_8192x256x32");
     group.sample_size(10);
     group.bench_function("per_candidate_and_loop", |b| {
-        b.iter(|| per_candidate_loop(black_box(&w)).len())
-    });
-    group.bench_function("single_pass_threads1", |b| {
-        b.iter(|| batched_single_pass(black_box(&w), 1).len())
+        b.iter(|| per_candidate_loop(black_box(&w.masks), &w.parents, MIN_SUPPORT).len())
     });
     for &threads in &[1usize, 2, 4] {
         group.bench_function(
             BenchmarkId::from_parameter(format!("batched_threads{threads}")),
-            |b| b.iter(|| batched(black_box(&w), threads).len()),
+            |b| b.iter(|| batched(black_box(&w.matrix), &w.parents, MIN_SUPPORT, threads).len()),
         );
     }
     group.finish();
 }
 
-/// Per-shard matrices sliced from the workload's full-dataset masks.
-fn sharded_matrix(w: &Workload, shards: usize) -> ShardedMaskMatrix {
-    let plan = ShardPlan::new(N_ROWS, shards);
-    ShardedMaskMatrix::from_parts(
-        plan.clone(),
-        (0..shards)
-            .map(|s| {
-                MaskMatrix::from_bitsets(
-                    plan.shard_len(s),
-                    w.masks.iter().map(|m| m.shard(&plan, s)),
-                )
-            })
-            .collect(),
-    )
-}
-
-fn batched_sharded(w: &Workload, matrix: &ShardedMaskMatrix, threads: usize) -> ChildBatch {
-    let parents: Vec<ParentSpec<'_>> = w
-        .parents
-        .iter()
-        .map(|ext| ParentSpec {
-            ext,
-            max_support: ext.count().saturating_sub(1),
-        })
-        .collect();
-    ShardedFrontierBuilder::new(
-        matrix,
-        FrontierConfig {
-            min_support: MIN_SUPPORT,
-            threads,
-            ..FrontierConfig::default()
-        },
-    )
-    .refine_parents(&parents, |_, _| true)
-}
-
-/// The PR 4 single-pass sharded builder (per-shard words buffered for
-/// every candidate until the merge) — the baseline whose 1.7–2× sharding
-/// penalty count-first refinement removes.
-fn batched_sharded_single_pass(
-    w: &Workload,
-    matrix: &ShardedMaskMatrix,
-    threads: usize,
-) -> ChildBatch {
-    let parents: Vec<ParentSpec<'_>> = w
-        .parents
-        .iter()
-        .map(|ext| ParentSpec {
-            ext,
-            max_support: ext.count().saturating_sub(1),
-        })
-        .collect();
-    ShardedFrontierBuilder::new(
-        matrix,
-        FrontierConfig {
-            min_support: MIN_SUPPORT,
-            threads,
-            ..FrontierConfig::default()
-        },
-    )
-    .refine_parents_single_pass(&parents, |_, _| true)
-}
-
 /// Sharded-vs-unsharded refinement on the same workload (`--shards`
 /// coverage: run `cargo bench --bench bench_frontier -- sharded` to time
-/// only these). S = 1 measures the sharded code path's overhead at the
-/// unsharded layout; S ∈ {2, 4} add the per-shard count partials and the
-/// shard-order merge; the `single_pass_shards4` row keeps the PR 4
-/// buffer-everything baseline on the books. Parity of every timed path
-/// with the unsharded count-first batch is asserted before timing — CI
+/// only these). S = 1 is the unsharded layout; S ∈ {2, 4} add the
+/// per-shard count partials and the shard-order merge. Every timed path
+/// is asserted identical to the per-candidate loop before timing — CI
 /// runs this group once per push as a cheap end-to-end parity gate.
 fn bench_sharded_frontier_generation(c: &mut Criterion) {
     let w = workload(17);
-    let reference = batched(&w, 1);
-    let matrices: Vec<(usize, ShardedMaskMatrix)> = [1usize, 2, 4]
+    let reference = per_candidate_loop(&w.masks, &w.parents, MIN_SUPPORT);
+    let matrices: Vec<(usize, MaskMatrix)> = [1usize, 2, 4]
         .iter()
-        .map(|&s| (s, sharded_matrix(&w, s)))
+        .map(|&s| {
+            let plan = ShardPlan::new(N_ROWS, s);
+            (
+                s,
+                MaskMatrix::from_bitsets_sharded(plan, w.masks.iter().cloned()),
+            )
+        })
         .collect();
-    for (s, matrix) in &matrices {
-        for got in [
-            batched_sharded(&w, matrix, 1),
-            batched_sharded_single_pass(&w, matrix, 1),
-        ] {
-            assert_eq!(got.len(), reference.len(), "shards={s}");
-            for i in 0..reference.len() {
-                assert_eq!(got.meta(i), reference.meta(i), "shards={s}");
-                assert_eq!(got.child_words(i), reference.child_words(i), "shards={s}");
-            }
-        }
+    for (_, matrix) in &matrices {
+        assert_identical(&batched(matrix, &w.parents, MIN_SUPPORT, 1), &reference);
     }
 
     let mut group = c.benchmark_group("frontier_sharded_8192x256x32");
     group.sample_size(10);
-    group.bench_function("unsharded_threads1", |b| {
-        b.iter(|| batched(black_box(&w), 1).len())
-    });
     for (s, matrix) in &matrices {
         group.bench_function(
             BenchmarkId::from_parameter(format!("shards{s}_threads1")),
-            |b| b.iter(|| batched_sharded(black_box(&w), matrix, 1).len()),
+            |b| b.iter(|| batched(black_box(matrix), &w.parents, MIN_SUPPORT, 1).len()),
         );
     }
-    let (_, m4) = matrices
-        .iter()
-        .find(|(s, _)| *s == 4)
-        .expect("shard list must include S = 4 for the single-pass baseline row");
-    group.bench_function("single_pass_shards4", |b| {
-        b.iter(|| batched_sharded_single_pass(black_box(&w), m4, 1).len())
-    });
     group.finish();
 }
 
@@ -280,9 +185,9 @@ fn bench_and_count_many(c: &mut Criterion) {
     // against every matrix row, fused vs materialize-then-count.
     let w = workload(23);
     let parent = &w.parents[0];
+    let block = w.matrix.block_words(0, 0, N_CONDITIONS);
     let mut counts = vec![0usize; N_CONDITIONS];
-    w.matrix
-        .and_count_block(parent, 0, N_CONDITIONS, &mut counts);
+    kernels::and_count_many(parent.words(), block, &mut counts);
     for (row, mask) in w.masks.iter().enumerate() {
         assert_eq!(counts[row], parent.and(mask).count(), "row {row}");
     }
@@ -291,8 +196,7 @@ fn bench_and_count_many(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("and_count_many_block", |b| {
         b.iter(|| {
-            w.matrix
-                .and_count_block(black_box(parent), 0, N_CONDITIONS, &mut counts);
+            kernels::and_count_many(black_box(parent.words()), block, &mut counts);
             counts[N_CONDITIONS - 1]
         })
     });
@@ -323,7 +227,7 @@ fn bench_and_count_many(c: &mut Criterion) {
 /// kernel smoke step doubles as a scalar/AVX2/grid parity gate.
 fn bench_kernels_grid(c: &mut Criterion) {
     let w = workload(29);
-    let block = w.matrix.block_words(0, N_CONDITIONS);
+    let block = w.matrix.block_words(0, 0, N_CONDITIONS);
     let parents: Vec<&[u64]> = w.parents.iter().map(|p| p.words()).collect();
 
     // Parity gate: grid and per-parent kernels vs the scalar reference.
@@ -402,7 +306,7 @@ fn bench_kernels_grid_big(c: &mut Criterion) {
         .map(|_| random_mask(&mut rng, BIG_ROWS, 0.25))
         .collect();
     let parents: Vec<&[u64]> = parent_sets.iter().map(|p| p.words()).collect();
-    let block = matrix.block_words(0, BIG_CONDITIONS);
+    let block = matrix.block_words(0, 0, BIG_CONDITIONS);
 
     // Parity gate at the big shape before timing.
     let mut grid = vec![0usize; BIG_PARENTS * BIG_CONDITIONS];
@@ -417,36 +321,11 @@ fn bench_kernels_grid_big(c: &mut Criterion) {
         );
     }
 
-    let specs: Vec<ParentSpec<'_>> = parent_sets
-        .iter()
-        .map(|ext| ParentSpec {
-            ext,
-            max_support: ext.count().saturating_sub(1),
-        })
-        .collect();
     let min_support = BIG_ROWS / 8;
-    let refine = |single_pass: bool| {
-        let builder = FrontierBuilder::new(
-            &matrix,
-            FrontierConfig {
-                min_support,
-                threads: 1,
-                ..FrontierConfig::default()
-            },
-        );
-        if single_pass {
-            builder.refine_parents_single_pass(&specs, |_, _| true)
-        } else {
-            builder.refine_parents(&specs, |_, _| true)
-        }
-    };
-    let reference = refine(true);
-    let counted = refine(false);
-    assert_eq!(counted.len(), reference.len(), "big-shape refine parity");
-    for i in 0..reference.len() {
-        assert_eq!(counted.meta(i), reference.meta(i));
-        assert_eq!(counted.child_words(i), reference.child_words(i));
-    }
+    assert_identical(
+        &batched(&matrix, &parent_sets, min_support, 1),
+        &per_candidate_loop(&masks, &parent_sets, min_support),
+    );
 
     let mut group = c.benchmark_group("kernels_grid_big_65536x512x8");
     group.sample_size(10);
@@ -468,11 +347,8 @@ fn bench_kernels_grid_big(c: &mut Criterion) {
             counts[BIG_PARENTS * BIG_CONDITIONS - 1]
         })
     });
-    group.bench_function("refine_single_pass_threads1", |b| {
-        b.iter(|| refine(true).len())
-    });
     group.bench_function("refine_count_first_grid_threads1", |b| {
-        b.iter(|| refine(false).len())
+        b.iter(|| batched(black_box(&matrix), &parent_sets, min_support, 1).len())
     });
     group.finish();
 }

@@ -5,8 +5,9 @@
 //! costs an allocation plus a second popcount traversal per candidate;
 //! these kernels fuse the AND with the popcount in a single pass over the
 //! words and write (at most) into a caller-owned scratch buffer. The
-//! `sisd-frontier` crate builds its block kernels (`and_count_many` over a
-//! contiguous arena, `refine_block`) on top of these primitives.
+//! `sisd-frontier` crate's refinement passes (`and_count_many_select` and
+//! `and_count_grid_select` over its mask arenas, `and_into` for survivors)
+//! run on these primitives.
 //!
 //! **Runtime SIMD dispatch.** The portable bodies are plain Rust; on
 //! `x86_64` each public kernel also carries an AVX2+POPCNT-compiled twin

@@ -13,8 +13,7 @@
 //!   word slices, the substrate of the `sisd-frontier` batched refinement
 //!   kernels,
 //! * [`shard`] — word-aligned row-range sharding: [`ShardPlan`] partitions
-//!   the row space so bitset words never straddle shards,
-//!   [`ShardedDataset`] carries per-shard column/target views, and
+//!   the row space so bitset words never straddle shards, and
 //!   [`BitSet::concat_words`] merges shard-local masks back bit-exactly,
 //! * [`wire`] — the length-prefixed frame codec moving shard count/word
 //!   traffic between processes for the `sisd-exec` executor backends,
@@ -39,5 +38,5 @@ pub mod wire;
 pub use bitset::BitSet;
 pub use column::Column;
 pub use discretize::{discretize, discretize_attribute, Binning};
-pub use shard::{ShardPlan, ShardedDataset};
+pub use shard::ShardPlan;
 pub use table::Dataset;

@@ -15,22 +15,14 @@
 //! * folding per-shard row scans **in shard order** visits rows in exactly
 //!   the ascending order a full-dataset scan visits them, so even
 //!   floating-point accumulations reproduce the unsharded result
-//!   bit-for-bit (see [`Dataset::target_mean_sharded`]).
+//!   bit-for-bit (see [`crate::Dataset::target_mean_sharded`]).
 //!
 //! Shards are balanced at word granularity (`word_bounds[s] = s·W/S` for
 //! `W` total words), so `S` larger than the word count simply yields empty
 //! trailing shards — a plan is valid for any `S ≥ 1`, including `S = 1`
 //! (the unsharded layout) and `S >` rows.
-//!
-//! [`ShardedDataset`] applies a plan to a [`Dataset`], materializing one
-//! per-shard column/target view per range. Today those views are in-memory
-//! copies of the row ranges; the seam is shaped so a later PR can back
-//! them with out-of-core or remote storage without touching the callers —
-//! everything above this module consumes shards only through the plan's
-//! ranges and the per-shard `Dataset` surface.
 
 use crate::bitset::{BitSet, WORD_BITS};
-use crate::table::Dataset;
 use std::ops::Range;
 
 /// A word-aligned partition of `[0, n)` into `S` contiguous row ranges.
@@ -186,82 +178,9 @@ impl BitSet {
     }
 }
 
-/// A [`Dataset`] split into per-shard row-range views by a [`ShardPlan`].
-///
-/// Each shard is a self-contained `Dataset` over its own rows (shard-local
-/// row `j` is full-dataset row `plan.row_range(s).start + j`), so
-/// condition masks evaluated per shard concatenate to exactly the
-/// full-dataset mask. The views are materialized copies today; see the
-/// module docs for the out-of-core seam this preserves.
-#[derive(Debug, Clone)]
-pub struct ShardedDataset {
-    plan: ShardPlan,
-    shards: Vec<Dataset>,
-}
-
-impl ShardedDataset {
-    /// Splits `data` into `shards` word-aligned row ranges.
-    ///
-    /// # Panics
-    /// Panics when `shards == 0`.
-    pub fn new(data: &Dataset, shards: usize) -> Self {
-        let plan = ShardPlan::new(data.n(), shards);
-        let shards = (0..plan.shards())
-            .map(|s| data.slice_rows(plan.row_range(s)))
-            .collect();
-        Self { plan, shards }
-    }
-
-    /// The partition this dataset was split by.
-    #[inline]
-    pub fn plan(&self) -> &ShardPlan {
-        &self.plan
-    }
-
-    /// Number of shards.
-    #[inline]
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Total row count across all shards.
-    #[inline]
-    pub fn n(&self) -> usize {
-        self.plan.n()
-    }
-
-    /// The shard-`s` row-range view.
-    #[inline]
-    pub fn shard(&self, s: usize) -> &Dataset {
-        &self.shards[s]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::column::Column;
-    use sisd_linalg::Matrix;
-
-    fn toy(n: usize) -> Dataset {
-        let mut targets = Matrix::zeros(n, 2);
-        for i in 0..n {
-            targets[(i, 0)] = i as f64;
-            targets[(i, 1)] = (i as f64).sin();
-        }
-        Dataset::new(
-            "toy",
-            vec!["num".into(), "cat".into()],
-            vec![
-                Column::Numeric((0..n).map(|i| (i % 13) as f64).collect()),
-                Column::categorical_from_strs(
-                    &(0..n).map(|i| ["a", "b", "c"][i % 3]).collect::<Vec<_>>(),
-                ),
-            ],
-            vec!["t0".into(), "t1".into()],
-            targets,
-        )
-    }
 
     #[test]
     fn plan_covers_rows_exactly_once_and_word_aligned() {
@@ -375,47 +294,5 @@ mod tests {
         let merged = BitSet::concat_words(&[]);
         assert_eq!(merged.len(), 0);
         assert_eq!(merged.count(), 0);
-    }
-
-    #[test]
-    fn sharded_dataset_views_preserve_rows() {
-        for n in [1usize, 64, 100, 257] {
-            let data = toy(n);
-            for s in [1usize, 2, 3, 7] {
-                let sharded = ShardedDataset::new(&data, s);
-                assert_eq!(sharded.shards(), s);
-                assert_eq!(sharded.n(), n);
-                assert_eq!(
-                    (0..s).map(|k| sharded.shard(k).n()).sum::<usize>(),
-                    n,
-                    "n={n} s={s}"
-                );
-                for k in 0..s {
-                    let view = sharded.shard(k);
-                    let range = sharded.plan().row_range(k);
-                    assert_eq!(view.n(), range.len());
-                    assert_eq!(view.dx(), data.dx());
-                    assert_eq!(view.dy(), data.dy());
-                    for (local, global) in range.clone().enumerate() {
-                        assert_eq!(view.target_row(local), data.target_row(global));
-                        assert_eq!(
-                            view.desc_col(1).display_value(local),
-                            data.desc_col(1).display_value(global)
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn empty_shard_views_are_valid_datasets() {
-        let data = toy(64); // 1 word, so shards 1.. are empty
-        let sharded = ShardedDataset::new(&data, 4);
-        assert_eq!(sharded.shard(0).n(), 64);
-        for s in 1..4 {
-            assert_eq!(sharded.shard(s).n(), 0);
-            assert_eq!(sharded.shard(s).dx(), 2);
-        }
     }
 }

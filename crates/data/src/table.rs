@@ -328,33 +328,6 @@ impl Dataset {
         acc / cnt as f64
     }
 
-    /// The rows `range` of this dataset as an owned dataset with the same
-    /// columns and target names — the per-shard view constructor of
-    /// [`crate::shard::ShardedDataset`]. Shard-local row `j` carries
-    /// exactly the values of full-dataset row `range.start + j`.
-    ///
-    /// # Panics
-    /// Panics when `range` exceeds the row count.
-    pub fn slice_rows(&self, range: std::ops::Range<usize>) -> Dataset {
-        assert!(range.end <= self.n(), "slice_rows: range out of bounds");
-        let dy = self.dy();
-        let targets = Matrix::from_vec(
-            range.len(),
-            dy,
-            self.targets.as_slice()[range.start * dy..range.end * dy].to_vec(),
-        );
-        Dataset::new(
-            format!("{}[{}..{})", self.name, range.start, range.end),
-            self.desc_names.clone(),
-            self.desc_cols
-                .iter()
-                .map(|c| c.slice_rows(range.clone()))
-                .collect(),
-            self.target_names.clone(),
-            targets,
-        )
-    }
-
     /// Scatter matrix `Σ_{i∈I} (ŷᵢ − ŷ_I)(ŷᵢ − ŷ_I)ᵀ / |I|` of an
     /// extension; `wᵀ S w` is the spread statistic for any direction, so
     /// the spread optimizer computes `S` once per subgroup.
@@ -494,23 +467,6 @@ mod tests {
                 "shards={s}"
             );
         }
-    }
-
-    #[test]
-    fn slice_rows_preserves_values_and_shapes() {
-        let d = toy();
-        let s = d.slice_rows(1..3);
-        assert_eq!(s.n(), 2);
-        assert_eq!(s.dx(), 2);
-        assert_eq!(s.target_row(0), d.target_row(1));
-        assert_eq!(s.target_row(1), d.target_row(2));
-        assert_eq!(
-            s.desc_col(0).display_value(1),
-            d.desc_col(0).display_value(2)
-        );
-        let empty = d.slice_rows(4..4);
-        assert_eq!(empty.n(), 0);
-        assert_eq!(empty.dy(), 2);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Deterministic (parallel) frontier refinement.
+//! Deterministic (parallel, sharded) frontier refinement.
 //!
 //! [`FrontierBuilder::refine_parents`] intersects every frontier parent
 //! against every allowed row of a [`MaskMatrix`] and emits the children
@@ -12,33 +12,33 @@
 //! (the count-then-materialize split of frequent-itemset miners):
 //!
 //! 1. *Count-only* — fused AND+popcounts for every allowed (parent, row)
-//!    pair via [`sisd_data::kernels::and_count_many_select`], with **no
-//!    store traffic at all**: pass 1 emits one dense support vector in
-//!    serial `(parent, row)` order.
+//!    pair via [`sisd_data::kernels::and_count_grid_select`], with **no
+//!    store traffic at all**, one shard-local count per matrix shard,
+//!    summed in shard order (exact integers).
 //! 2. A **serial filter** applies the support floor/ceiling and a
 //!    caller-supplied keep predicate ([`FrontierBuilder::refine_with_prune`]
 //!    — dedup signature checks, branch-and-bound optimistic bounds) to the
-//!    counts, in `(parent, row)` order.
+//!    totals, in `(parent, row)` order.
 //! 3. *Materialize* — only the survivors' child words are computed
-//!    ([`sisd_data::kernels::and_into`]) and written straight into the
+//!    ([`sisd_data::kernels::and_into`]) shard by shard, straight into the
 //!    [`ChildBatch`] arena, in the same order.
 //!
 //! A candidate rejected by a support filter, a dedup check, or a bound
 //! predicate therefore never writes a single word. Both passes split into
-//! contiguous work items ((parent, row-block) counts; survivor chunks)
-//! processed on scoped OS threads and merged in item order, so the emitted
-//! child sequence is **identical at any thread count** — exactly the
-//! sequence the serial per-candidate `BitSet::and` loop produced, and
-//! bit-identical to the single-pass reference
-//! ([`FrontierBuilder::refine_parents_single_pass`]).
+//! contiguous work items ((parent tile, row block, shard) counts; survivor
+//! chunks) processed on the worker pool and merged in item order. On the
+//! calling thread, over a matrix small enough to stay cached between
+//! parents, the passes fuse per row block instead. Either way the emitted
+//! child sequence is **identical at any thread and shard count** —
+//! exactly the sequence the serial per-candidate `BitSet::and` loop
+//! produces.
 
 use crate::exec::ExecHandle;
 use crate::matrix::MaskMatrix;
+use crate::sharded::ExecPasses;
 use sisd_data::{kernels, BitSet};
 use sisd_obs::{Metric, ObsHandle};
 use sisd_par::PoolHandle;
-use std::collections::HashSet;
-use std::hash::Hash;
 
 /// Settings of a [`FrontierBuilder`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,10 +56,11 @@ pub struct FrontierConfig {
     /// Observability handle refinement counters and spans report into.
     /// Disabled by default; never changes refinement output.
     pub obs: ObsHandle,
-    /// Shard executor the *sharded* refinement passes dispatch through.
-    /// Disabled by default (local kernels); the dense builder ignores it.
-    /// Never changes refinement output — executor failures fall back to
-    /// the local kernels per shard (see [`crate::exec`]).
+    /// Shard executor the two-pass route over a *sharded* matrix
+    /// dispatches its count and materialize passes through. Disabled by
+    /// default (local kernels); single-shard matrices never use it. Never
+    /// changes refinement output — executor failures fall back to the
+    /// local kernels per request (see [`crate::exec`]).
     pub exec: ExecHandle,
 }
 
@@ -100,12 +101,12 @@ pub struct ChildMeta {
 }
 
 /// A batch of emitted children: per-child metadata plus all child
-/// extensions packed row-major into one contiguous word arena (the same
-/// layout as [`MaskMatrix`]). Materializing an owned [`BitSet`] via
-/// [`ChildBatch::child_bitset`] is deferred to the children that survive
-/// downstream filters (dedup, time budget), so a level that generates ten
-/// thousand candidates performs heap allocations only for the ones it
-/// keeps.
+/// extensions packed row-major into one contiguous word arena (the
+/// unsharded [`MaskMatrix`] layout). Materializing an owned [`BitSet`]
+/// via [`ChildBatch::child_bitset`] is deferred to the children that
+/// survive downstream filters (dedup, time budget), so a level that
+/// generates ten thousand candidates performs heap allocations only for
+/// the ones it keeps.
 #[derive(Debug, Clone)]
 pub struct ChildBatch {
     n: usize,
@@ -115,23 +116,7 @@ pub struct ChildBatch {
 }
 
 impl ChildBatch {
-    pub(crate) fn with_shape(n: usize, stride: usize) -> Self {
-        Self {
-            n,
-            stride,
-            meta: Vec::new(),
-            words: Vec::new(),
-        }
-    }
-
-    /// Assembles a batch whose metadata and word arena were produced by
-    /// the two-pass (count-first) refinement.
-    pub(crate) fn from_parts(
-        n: usize,
-        stride: usize,
-        meta: Vec<ChildMeta>,
-        words: Vec<u64>,
-    ) -> Self {
+    fn from_parts(n: usize, stride: usize, meta: Vec<ChildMeta>, words: Vec<u64>) -> Self {
         debug_assert_eq!(words.len(), meta.len() * stride);
         Self {
             n,
@@ -176,29 +161,19 @@ impl ChildBatch {
     pub fn child_bitset(&self, i: usize) -> BitSet {
         BitSet::from_words(self.child_words(i).to_vec(), self.n)
     }
-
-    pub(crate) fn push(&mut self, meta: ChildMeta, child_words: &[u64]) {
-        self.meta.push(meta);
-        self.words.extend_from_slice(child_words);
-    }
-
-    fn append(&mut self, other: &ChildBatch) {
-        self.meta.extend_from_slice(&other.meta);
-        self.words.extend_from_slice(&other.words);
-    }
 }
 
 /// Rows per work item: one parent is refined in blocks of this many matrix
 /// rows, so a single wide parent (e.g. the root of a level-1 beam) still
 /// splits across workers. Small enough to parallelize short condition
 /// languages, large enough that an item amortizes its scheduling.
-pub(crate) const BLOCK_ROWS: usize = 32;
+const BLOCK_ROWS: usize = 32;
 
 /// Smallest number of work items worth a worker thread: even with the
 /// persistent pool, handing an item to a worker costs a queue round-trip,
 /// so small frontiers run inline regardless of the configured thread
 /// count.
-pub(crate) const MIN_ITEMS_PER_WORKER: usize = 2;
+const MIN_ITEMS_PER_WORKER: usize = 2;
 
 /// Parents per grid-kernel tile in the count pass: each cache-resident
 /// row block is ANDed against up to this many parents in one pass
@@ -206,17 +181,17 @@ pub(crate) const MIN_ITEMS_PER_WORKER: usize = 2;
 /// block once per parent. Eight parents × a typical 128-word stride is
 /// ~8 KiB of parent words — comfortably L1-resident next to the block —
 /// while still splitting a wide beam into enough tiles to parallelize.
-pub(crate) const PARENT_TILE: usize = 8;
+const PARENT_TILE: usize = 8;
 
 /// Matrix size (words) above which *serial* multi-parent refinement takes
-/// the two-pass grid route instead of the fused per-parent loop. The grid
+/// the two-pass route instead of the fused per-parent loop. The grid
 /// kernels cut matrix traffic by up to [`PARENT_TILE`]×, but that only
 /// buys wall-clock once the matrix no longer sits in cache between
 /// parents; below this bound (≲ 1 MiB of mask words, roughly an L2) the
 /// fused loop's single cache-resident pass per parent is faster than the
 /// two-pass split's extra count buffer walk. Both routes are bit-identical
 /// by the determinism contract, so this is a pure speed knob.
-pub(crate) const GRID_MIN_MATRIX_WORDS: usize = 1 << 17;
+const GRID_MIN_MATRIX_WORDS: usize = 1 << 17;
 
 /// Smallest kernel workload (words ANDed) worth a worker thread. The
 /// fused kernels stream several words per nanosecond, so a worker must
@@ -225,35 +200,31 @@ pub(crate) const GRID_MIN_MATRIX_WORDS: usize = 1 << 17;
 /// branch-and-bound's per-node refinement (one parent against a small
 /// language) stays single-threaded at any configured thread count — its
 /// parallelism lives in `score_all`, not here.
-pub(crate) const MIN_WORDS_PER_WORKER: usize = 1 << 15;
+const MIN_WORDS_PER_WORKER: usize = 1 << 15;
 
-/// Pass-1 sentinel: the dense count of a `(parent, row)` pair the
-/// `allowed` filter rejected. Impossible as a real support (`≤ n`), so the
-/// serial filter distinguishes "skipped" from "counted" without consulting
+/// Pass-1 sentinel: the count of a `(parent, row)` pair the `allowed`
+/// filter rejected. Impossible as a real support (`≤ n`), so the serial
+/// filter distinguishes "skipped" from "counted" without consulting
 /// `allowed` a second time.
 pub(crate) const SKIPPED: usize = usize::MAX;
 
-/// Splits `len` work units into at most `workers` contiguous chunks and
-/// runs `run(chunk_index, lo..hi)` on the pool's workers, returning the
-/// outputs in chunk order. The shared deterministic fan-out of both
-/// refinement passes: outputs are merged in chunk (= serial) order, so
-/// scheduling never reorders anything.
-pub(crate) fn run_chunked<T: Send>(
-    pool: PoolHandle,
-    len: usize,
-    workers: usize,
-    run: impl Fn(usize, std::ops::Range<usize>) -> T + Sync,
-) -> Vec<T> {
-    pool.run_chunked(len, workers, run)
+/// Adds one later shard's counts into running totals. `allowed` is
+/// shard-independent, so a total still holding [`SKIPPED`] (left there by
+/// shard 0) marks a pair no shard counted.
+fn add_shard_counts(totals: &mut [usize], shard: &[usize]) {
+    for (t, &c) in totals.iter_mut().zip(shard) {
+        if *t != SKIPPED {
+            *t += c;
+        }
+    }
 }
 
-/// Pass-2 fan-out shared by the unsharded and sharded builders: writes
-/// each survivor's `stride`-word arena slot via `write(meta, out)` — a
-/// pure function of the child's metadata — chunking survivors over the
-/// pool's workers when the workload clears the worker thresholds.
+/// Writes each survivor's `stride`-word arena slot via `write(meta, out)`
+/// — a pure function of the child's metadata — chunking survivors over
+/// the pool's workers when the workload clears the worker thresholds.
 /// Disjoint output slices and pure per-child writes keep the arena
 /// bit-identical at any thread count.
-pub(crate) fn materialize_survivors(
+fn materialize_survivors(
     pool: PoolHandle,
     threads: usize,
     stride: usize,
@@ -281,30 +252,75 @@ pub(crate) fn materialize_survivors(
 /// Per-refinement tallies of the serial filter, accumulated in locals and
 /// reported into the obs registry in one batch — the disabled path pays
 /// only dead local increments.
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct RefineTally {
+#[derive(Debug, Default)]
+struct RefineTally {
     /// (parent, row) pairs whose support was actually counted.
-    pub counted: u64,
+    counted: u64,
     /// Pairs rejected by the support floor/ceiling.
-    pub count_pruned: u64,
+    count_pruned: u64,
     /// Pairs rejected by the caller's keep predicate.
-    pub dedup_dropped: u64,
-    /// Survivors materialized into the batch.
-    pub materialized: u64,
+    dedup_dropped: u64,
 }
 
-pub(crate) fn record_refine(obs: ObsHandle, tally: RefineTally) {
-    if !obs.enabled() {
-        return;
+/// The serial filter both routes share: the support floor/ceiling, then
+/// the caller's keep predicate, offered each counted pair in
+/// `(parent, row)` order on the calling thread.
+struct SurvivorFilter<P> {
+    min_support: usize,
+    keep: P,
+    tally: RefineTally,
+    meta: Vec<ChildMeta>,
+}
+
+impl<P: FnMut(usize, usize, usize) -> bool> SurvivorFilter<P> {
+    fn new(min_support: usize, keep: P) -> Self {
+        Self {
+            min_support,
+            keep,
+            tally: RefineTally::default(),
+            meta: Vec::new(),
+        }
     }
-    obs.add(Metric::FrontierCandidates, tally.counted);
-    obs.add(Metric::FrontierCountPruned, tally.count_pruned);
-    obs.add(Metric::FrontierDedupDropped, tally.dedup_dropped);
-    obs.add(Metric::FrontierMaterialized, tally.materialized);
+
+    /// Offers the pair `(parent, row)` with total count `support`
+    /// ([`SKIPPED`] when `allowed` rejected it). Returns whether it
+    /// survives; a survivor's metadata is appended to the batch's.
+    fn offer(&mut self, parent: usize, row: usize, support: usize, max_support: usize) -> bool {
+        if support == SKIPPED {
+            return false;
+        }
+        self.tally.counted += 1;
+        if support < self.min_support || support > max_support {
+            self.tally.count_pruned += 1;
+            return false;
+        }
+        if !(self.keep)(parent, row, support) {
+            self.tally.dedup_dropped += 1;
+            return false;
+        }
+        self.meta.push(ChildMeta {
+            parent,
+            row,
+            support,
+        });
+        true
+    }
+
+    /// Reports the tallies and returns the survivors' metadata.
+    fn finish(self, obs: ObsHandle) -> Vec<ChildMeta> {
+        if obs.enabled() {
+            obs.add(Metric::FrontierCandidates, self.tally.counted);
+            obs.add(Metric::FrontierCountPruned, self.tally.count_pruned);
+            obs.add(Metric::FrontierDedupDropped, self.tally.dedup_dropped);
+            obs.add(Metric::FrontierMaterialized, self.meta.len() as u64);
+        }
+        self.meta
+    }
 }
 
-/// The batched refinement engine over one [`MaskMatrix`]. Cheap to
-/// construct (three words); build one wherever a search holds a matrix.
+/// The batched refinement engine over one [`MaskMatrix`], at any shard
+/// count. Cheap to construct (three words); build one wherever a search
+/// holds a matrix.
 #[derive(Debug, Clone, Copy)]
 pub struct FrontierBuilder<'m> {
     matrix: &'m MaskMatrix,
@@ -317,21 +333,19 @@ impl<'m> FrontierBuilder<'m> {
         Self { matrix, config }
     }
 
-    /// The matrix being refined against.
-    pub fn matrix(&self) -> &'m MaskMatrix {
-        self.matrix
-    }
-
     /// Refines every parent against every matrix row with
     /// `allowed(parent_idx, row) == true`, returning the children that
     /// pass the support filters, ordered by `(parent, row)` — exactly the
     /// order a serial nested loop over parents and conditions visits them,
-    /// at any thread count.
+    /// at any thread and shard count.
     ///
     /// Runs count-first (see the module docs): supports are computed
     /// without writing any child words, and only the children passing the
-    /// filters are materialized into the batch. Output is bit-identical to
-    /// [`FrontierBuilder::refine_parents_single_pass`].
+    /// filters are materialized into the batch. Parents are full-dataset
+    /// extensions; their per-shard views are zero-copy word slices.
+    ///
+    /// # Panics
+    /// Panics when a parent's capacity differs from the matrix's `n`.
     pub fn refine_parents<F>(&self, parents: &[ParentSpec<'_>], allowed: F) -> ChildBatch
     where
         F: Fn(usize, usize) -> bool + Sync,
@@ -342,8 +356,9 @@ impl<'m> FrontierBuilder<'m> {
     /// [`FrontierBuilder::refine_parents`] with a serial keep predicate
     /// between the count pass and materialization: `keep(parent, row,
     /// support)` is consulted **once per support-passing child, in
-    /// `(parent, row)` order, on the calling thread**, and a `false`
-    /// return drops the child before any of its words are computed.
+    /// `(parent, row)` order, on the calling thread**, with the child's
+    /// full-dataset support, and a `false` return drops the child before
+    /// any of its words are computed.
     ///
     /// The predicate order makes stateful filters exact: a first-wins
     /// dedup signature check behaves as in the serial nested loop at any
@@ -354,7 +369,7 @@ impl<'m> FrontierBuilder<'m> {
         &self,
         parents: &[ParentSpec<'_>],
         allowed: F,
-        mut keep: P,
+        keep: P,
     ) -> ChildBatch
     where
         F: Fn(usize, usize) -> bool + Sync,
@@ -371,14 +386,14 @@ impl<'m> FrontierBuilder<'m> {
             );
         }
         if parents.is_empty() || rows == 0 {
-            return ChildBatch::with_shape(n, stride);
+            return ChildBatch::from_parts(n, stride, Vec::new(), Vec::new());
         }
         let obs = self.config.obs;
         obs.incr(Metric::FrontierRefineCalls);
+        let mut filter = SurvivorFilter::new(self.config.min_support, keep);
 
-        let blocks = rows.div_ceil(BLOCK_ROWS);
-        let tiles = parents.len().div_ceil(PARENT_TILE);
-        let n_items = tiles * blocks;
+        let shards = self.matrix.plan().shards();
+        let n_items = parents.len().div_ceil(PARENT_TILE) * rows.div_ceil(BLOCK_ROWS) * shards;
         let total_words = parents.len() * rows * stride;
         let workers = self
             .config
@@ -392,39 +407,178 @@ impl<'m> FrontierBuilder<'m> {
         // still hot — one streaming read of the matrix per parent and one
         // arena write per survivor, with no scratch buffer at all. Serial
         // multi-parent refinement over a matrix too big to stay cached
-        // between parents is the exception: it takes the two-pass grid
-        // route below, where one block pass serves a whole parent tile
-        // instead of re-streaming the matrix once per parent.
+        // between parents is the exception: it takes the two-pass route
+        // below, where one block pass serves a whole parent tile instead
+        // of re-streaming the matrix once per parent.
         if workers <= 1 && (parents.len() == 1 || rows * stride < GRID_MIN_MATRIX_WORDS) {
             obs.incr(Metric::FrontierFusedDispatch);
             let _fused_span = obs.span(Metric::FrontierFusedNs);
-            return self.refine_fused_serial(parents, allowed, keep);
+            return self.refine_fused_serial(parents, allowed, filter);
         }
         obs.incr(Metric::FrontierGridDispatch);
 
-        // Pass 1 — count-only: dense per-(parent, row) supports, SKIPPED
-        // where `allowed` rejects. Work items are (parent tile × row
-        // block) cells of the refinement grid in tile-major order; each
-        // item's counts are emitted parent-major within the item, and a
-        // cursor walk below scatters them into the parent-major dense
-        // vector. Every count is a pure function of its (parent, row)
-        // pair, so the tiling never changes a value — only how many times
-        // each block streams through the cache.
+        // An attached executor serves the passes of a sharded matrix; each
+        // non-empty shard's arena is offered to it once per call (backends
+        // deduplicate), and a failed load demotes that shard to the local
+        // kernels for the whole call.
+        let exec = self
+            .config
+            .exec
+            .get()
+            .filter(|_| shards > 1)
+            .map(|exec| ExecPasses::load(exec, self.matrix, obs));
+
+        // Pass 1 — count-only: per-(parent, row) totals, SKIPPED where
+        // `allowed` rejects.
         let count_span = obs.span(Metric::FrontierCountNs);
-        let parent_words: Vec<&[u64]> = parents.iter().map(|s| s.ext.words()).collect();
+        let counts = match &exec {
+            Some(exec) => exec.count(parents, &allowed),
+            None => self.count_grid(parents, &allowed, workers),
+        };
+        drop(count_span);
+
+        // Serial filter in (parent, row) order: support floor/ceiling on
+        // the totals, then the caller's keep predicate.
+        for (p, spec) in parents.iter().enumerate() {
+            for (row, &support) in counts[p * rows..(p + 1) * rows].iter().enumerate() {
+                filter.offer(p, row, support, spec.max_support);
+            }
+        }
+        let meta = filter.finish(obs);
+
+        // Pass 2 — materialize only the survivors, each into its arena
+        // slot (a pure function of its parent and row, so parallel chunks
+        // over disjoint slices stay bit-identical).
+        let materialize_span = obs.span(Metric::FrontierMaterializeNs);
+        let mut words = vec![0u64; meta.len() * stride];
+        match &exec {
+            Some(exec) => exec.materialize(parents, &meta, &mut words),
+            None => materialize_survivors(
+                self.config.pool,
+                self.config.threads,
+                stride,
+                &meta,
+                &mut words,
+                |m, out| self.write_child(parents[m.parent].ext.words(), m.row, out),
+            ),
+        }
+        drop(materialize_span);
+        ChildBatch::from_parts(n, stride, meta, words)
+    }
+
+    /// Writes `parent ∩ row` into `out` (full-dataset words), shard by
+    /// shard — concatenation is exact by the plan's word alignment.
+    fn write_child(&self, parent: &[u64], row: usize, out: &mut [u64]) {
+        let plan = self.matrix.plan();
+        for s in 0..plan.shards() {
+            let wr = plan.word_range(s);
+            kernels::and_into(
+                &parent[wr.clone()],
+                self.matrix.row_words(s, row),
+                &mut out[wr],
+            );
+        }
+    }
+
+    /// The fused serial route: per row block, count (no stores, every
+    /// shard, summed), filter on the totals, and materialize the block's
+    /// survivors while its rows are cache-resident. Identical output to
+    /// the two-pass route by construction — both visit `(parent, row)` in
+    /// serial order and compute each child as the same pure AND.
+    fn refine_fused_serial<F, P>(
+        &self,
+        parents: &[ParentSpec<'_>],
+        allowed: F,
+        mut filter: SurvivorFilter<P>,
+    ) -> ChildBatch
+    where
+        F: Fn(usize, usize) -> bool,
+        P: FnMut(usize, usize, usize) -> bool,
+    {
+        let plan = self.matrix.plan();
+        let rows = self.matrix.rows();
+        let stride = self.matrix.stride();
+        let mut words: Vec<u64> = Vec::new();
+        let mut select = [false; BLOCK_ROWS];
+        let mut counts = [0usize; BLOCK_ROWS];
+        let mut shard_counts = [0usize; BLOCK_ROWS];
+        for (p, spec) in parents.iter().enumerate() {
+            let parent_words = spec.ext.words();
+            let mut lo = 0usize;
+            while lo < rows {
+                let hi = rows.min(lo + BLOCK_ROWS);
+                let w = hi - lo;
+                for (j, row) in (lo..hi).enumerate() {
+                    select[j] = allowed(p, row);
+                }
+                for s in 0..plan.shards() {
+                    let out = if s == 0 {
+                        &mut counts[..w]
+                    } else {
+                        &mut shard_counts[..w]
+                    };
+                    out.fill(SKIPPED);
+                    kernels::and_count_many_select(
+                        &parent_words[plan.word_range(s)],
+                        self.matrix.block_words(s, lo, hi),
+                        &select[..w],
+                        out,
+                    );
+                    if s > 0 {
+                        add_shard_counts(&mut counts[..w], &shard_counts[..w]);
+                    }
+                }
+                for (j, row) in (lo..hi).enumerate() {
+                    if filter.offer(p, row, counts[j], spec.max_support) {
+                        let base = words.len();
+                        words.resize(base + stride, 0);
+                        self.write_child(parent_words, row, &mut words[base..]);
+                    }
+                }
+                lo = hi;
+            }
+        }
+        let meta = filter.finish(self.config.obs);
+        ChildBatch::from_parts(self.matrix.n(), stride, meta, words)
+    }
+
+    /// The local pass-1 producer. Work items are (parent tile × row block
+    /// × shard) cells of the refinement grid, tile-major with the shard
+    /// innermost; each item's counts are emitted parent-major within the
+    /// item, and a cursor walk scatters them into the parent-major dense
+    /// vector — shard 0 writes a cell's counts, later shards add theirs.
+    /// Every count is a pure function of its (parent, row, shard), so the
+    /// tiling never changes a value — only how many times each block
+    /// streams through the cache.
+    fn count_grid<F>(&self, parents: &[ParentSpec<'_>], allowed: &F, workers: usize) -> Vec<usize>
+    where
+        F: Fn(usize, usize) -> bool + Sync,
+    {
+        let plan = self.matrix.plan();
+        let shards = plan.shards();
+        let rows = self.matrix.rows();
+        let blocks = rows.div_ceil(BLOCK_ROWS);
+        let n_items = parents.len().div_ceil(PARENT_TILE) * blocks * shards;
+        let parent_words: Vec<Vec<&[u64]>> = (0..shards)
+            .map(|s| {
+                let wr = plan.word_range(s);
+                parents.iter().map(|p| &p.ext.words()[wr.clone()]).collect()
+            })
+            .collect();
         let item_cell = |item: usize| {
-            let (t, b) = (item / blocks, item % blocks);
+            let (cell, s) = (item / shards, item % shards);
+            let (t, b) = (cell / blocks, cell % blocks);
             let p0 = t * PARENT_TILE;
             let p1 = parents.len().min(p0 + PARENT_TILE);
             let lo = b * BLOCK_ROWS;
             let hi = rows.min(lo + BLOCK_ROWS);
-            (p0, p1, lo, hi)
+            (p0, p1, lo, hi, s)
         };
         let count_items = |items: std::ops::Range<usize>| -> Vec<usize> {
             let mut out = Vec::new();
             let mut select = [false; PARENT_TILE * BLOCK_ROWS];
             for item in items {
-                let (p0, p1, lo, hi) = item_cell(item);
+                let (p0, p1, lo, hi, s) = item_cell(item);
                 let w = hi - lo;
                 for (pi, p) in (p0..p1).enumerate() {
                     for (j, row) in (lo..hi).enumerate() {
@@ -435,8 +589,8 @@ impl<'m> FrontierBuilder<'m> {
                 let base = out.len();
                 out.resize(base + cells, SKIPPED);
                 kernels::and_count_grid_select(
-                    &parent_words[p0..p1],
-                    self.matrix.block_words(lo, hi),
+                    &parent_words[s][p0..p1],
+                    self.matrix.block_words(s, lo, hi),
                     &select[..cells],
                     &mut out[base..],
                 );
@@ -444,282 +598,40 @@ impl<'m> FrontierBuilder<'m> {
             out
         };
         let gathered: Vec<Vec<usize>> =
-            run_chunked(self.config.pool, n_items, workers, |_, items| {
-                count_items(items)
-            });
+            self.config
+                .pool
+                .run_chunked(n_items, workers, |_, items| count_items(items));
         let mut counts = vec![SKIPPED; parents.len() * rows];
         let mut item = 0usize;
         for part in &gathered {
             let mut cursor = 0usize;
             while cursor < part.len() {
-                let (p0, p1, lo, hi) = item_cell(item);
+                let (p0, p1, lo, hi, s) = item_cell(item);
                 let w = hi - lo;
                 for p in p0..p1 {
-                    counts[p * rows + lo..p * rows + hi].copy_from_slice(&part[cursor..cursor + w]);
+                    let totals = &mut counts[p * rows + lo..p * rows + hi];
+                    let shard = &part[cursor..cursor + w];
+                    if s == 0 {
+                        totals.copy_from_slice(shard);
+                    } else {
+                        add_shard_counts(totals, shard);
+                    }
                     cursor += w;
                 }
                 item += 1;
             }
         }
-        drop(count_span);
-
-        // Serial filter in (parent, row) order: support floor/ceiling on
-        // the counts, then the caller's keep predicate.
-        let mut tally = RefineTally::default();
-        let mut meta: Vec<ChildMeta> = Vec::new();
-        for (p, spec) in parents.iter().enumerate() {
-            for row in 0..rows {
-                let support = counts[p * rows + row];
-                if support == SKIPPED {
-                    continue;
-                }
-                tally.counted += 1;
-                if support < self.config.min_support || support > spec.max_support {
-                    tally.count_pruned += 1;
-                    continue;
-                }
-                if !keep(p, row, support) {
-                    tally.dedup_dropped += 1;
-                    continue;
-                }
-                meta.push(ChildMeta {
-                    parent: p,
-                    row,
-                    support,
-                });
-            }
-        }
-        tally.materialized = meta.len() as u64;
-        record_refine(obs, tally);
-
-        // Pass 2 — materialize only the survivors, each into its arena
-        // slot (a pure function of its parent and row, so parallel chunks
-        // over disjoint slices stay bit-identical).
-        let materialize_span = obs.span(Metric::FrontierMaterializeNs);
-        let mut words = vec![0u64; meta.len() * stride];
-        materialize_survivors(
-            self.config.pool,
-            self.config.threads,
-            stride,
-            &meta,
-            &mut words,
-            |m, out| {
-                kernels::and_into(
-                    parents[m.parent].ext.words(),
-                    self.matrix.row_words(m.row),
-                    out,
-                )
-            },
-        );
-        drop(materialize_span);
-        ChildBatch::from_parts(n, stride, meta, words)
+        counts
     }
-
-    /// The fused serial form of count-first refinement: per row block,
-    /// count (no stores), filter on the counts, and materialize the
-    /// block's survivors while its rows are cache-resident. Identical
-    /// output to the two-pass form by construction — both visit
-    /// `(parent, row)` in serial order and compute each child as the same
-    /// pure AND.
-    fn refine_fused_serial<F, P>(
-        &self,
-        parents: &[ParentSpec<'_>],
-        allowed: F,
-        mut keep: P,
-    ) -> ChildBatch
-    where
-        F: Fn(usize, usize) -> bool,
-        P: FnMut(usize, usize, usize) -> bool,
-    {
-        let rows = self.matrix.rows();
-        let stride = self.matrix.stride();
-        let mut tally = RefineTally::default();
-        let mut meta: Vec<ChildMeta> = Vec::new();
-        let mut words: Vec<u64> = Vec::new();
-        let mut select = [false; BLOCK_ROWS];
-        let mut counts = [0usize; BLOCK_ROWS];
-        for (p, spec) in parents.iter().enumerate() {
-            let parent_words = spec.ext.words();
-            let mut lo = 0usize;
-            while lo < rows {
-                let hi = rows.min(lo + BLOCK_ROWS);
-                for (j, row) in (lo..hi).enumerate() {
-                    select[j] = allowed(p, row);
-                }
-                counts[..hi - lo].fill(SKIPPED);
-                kernels::and_count_many_select(
-                    parent_words,
-                    self.matrix.block_words(lo, hi),
-                    &select[..hi - lo],
-                    &mut counts[..hi - lo],
-                );
-                for (j, row) in (lo..hi).enumerate() {
-                    let support = counts[j];
-                    if support == SKIPPED {
-                        continue;
-                    }
-                    tally.counted += 1;
-                    if support < self.config.min_support || support > spec.max_support {
-                        tally.count_pruned += 1;
-                        continue;
-                    }
-                    if !keep(p, row, support) {
-                        tally.dedup_dropped += 1;
-                        continue;
-                    }
-                    meta.push(ChildMeta {
-                        parent: p,
-                        row,
-                        support,
-                    });
-                    let base = words.len();
-                    words.resize(base + stride, 0);
-                    kernels::and_into(parent_words, self.matrix.row_words(row), &mut words[base..]);
-                }
-                lo = hi;
-            }
-        }
-        tally.materialized = meta.len() as u64;
-        record_refine(self.config.obs, tally);
-        ChildBatch::from_parts(self.matrix.n(), stride, meta, words)
-    }
-
-    /// The single-pass reference: fused AND+store+popcount per allowed
-    /// row through a scratch buffer, filters applied inline — the PR 4
-    /// refinement path, kept as the bit-exactness oracle for the
-    /// count-first implementation (parity proptests and the benches
-    /// compare against it) and as the better shape for callers that keep
-    /// nearly every child.
-    pub fn refine_parents_single_pass<F>(
-        &self,
-        parents: &[ParentSpec<'_>],
-        allowed: F,
-    ) -> ChildBatch
-    where
-        F: Fn(usize, usize) -> bool + Sync,
-    {
-        let rows = self.matrix.rows();
-        let stride = self.matrix.stride();
-        if parents.is_empty() || rows == 0 {
-            return ChildBatch::with_shape(self.matrix.n(), stride);
-        }
-        // Work items: contiguous row blocks per parent, in (parent, row)
-        // order. Chunking this flat list keeps both axes balanced.
-        let blocks_per_parent = rows.div_ceil(BLOCK_ROWS);
-        let items: Vec<(usize, usize, usize)> = (0..parents.len())
-            .flat_map(|p| {
-                (0..blocks_per_parent).map(move |b| {
-                    let lo = b * BLOCK_ROWS;
-                    (p, lo, rows.min(lo + BLOCK_ROWS))
-                })
-            })
-            .collect();
-        let total_words = parents.len() * rows * stride;
-        let workers = self
-            .config
-            .threads
-            .min(items.len() / MIN_ITEMS_PER_WORKER)
-            .min(total_words / MIN_WORDS_PER_WORKER)
-            .max(1);
-        let run_items = |items: &[(usize, usize, usize)]| -> ChildBatch {
-            let mut out = ChildBatch::with_shape(self.matrix.n(), stride);
-            let mut scratch = vec![0u64; stride];
-            for &(p, lo, hi) in items {
-                refine_block(
-                    self.matrix,
-                    parents[p],
-                    lo..hi,
-                    self.config.min_support,
-                    |row| allowed(p, row),
-                    &mut scratch,
-                    |row, support, words| {
-                        out.push(
-                            ChildMeta {
-                                parent: p,
-                                row,
-                                support,
-                            },
-                            words,
-                        );
-                    },
-                );
-            }
-            out
-        };
-        if workers <= 1 {
-            return run_items(&items);
-        }
-        let parts: Vec<ChildBatch> =
-            run_chunked(self.config.pool, items.len(), workers, |_, chunk| {
-                run_items(&items[chunk])
-            });
-        // Merge in chunk (= item = serial) order.
-        let mut out = ChildBatch::with_shape(self.matrix.n(), stride);
-        out.meta.reserve(parts.iter().map(ChildBatch::len).sum());
-        out.words.reserve(parts.iter().map(|p| p.words.len()).sum());
-        for part in &parts {
-            out.append(part);
-        }
-        out
-    }
-}
-
-/// The word-blocked refinement kernel: intersects one parent against a
-/// contiguous block of matrix rows, emitting `(row, support, child words)`
-/// for every allowed row whose intersection count lands in
-/// `min_support..=parent.max_support`. The AND and the popcount are fused
-/// into one pass per row ([`kernels::and_into_count`]) through a
-/// caller-owned scratch buffer, so rejected candidates allocate nothing.
-pub fn refine_block(
-    matrix: &MaskMatrix,
-    parent: ParentSpec<'_>,
-    rows: std::ops::Range<usize>,
-    min_support: usize,
-    mut allowed: impl FnMut(usize) -> bool,
-    scratch: &mut [u64],
-    mut emit: impl FnMut(usize, usize, &[u64]),
-) {
-    assert_eq!(
-        parent.ext.len(),
-        matrix.n(),
-        "refine_block: parent capacity mismatch"
-    );
-    let parent_words = parent.ext.words();
-    for row in rows {
-        if !allowed(row) {
-            continue;
-        }
-        let support = kernels::and_into_count(parent_words, matrix.row_words(row), scratch);
-        if support >= min_support && support <= parent.max_support {
-            emit(row, support, scratch);
-        }
-    }
-}
-
-/// In-order first-wins dedup: keeps each item whose key is new to `seen`,
-/// preserving input order. Because [`FrontierBuilder::refine_parents`]
-/// emits children in the serial `(parent, row)` order at any thread count,
-/// running this sequential pass after the (possibly parallel) refinement
-/// reproduces the serial generate-and-dedup loop exactly.
-pub fn dedup_in_order<T, K, F>(
-    items: impl IntoIterator<Item = T>,
-    mut key_of: F,
-    seen: &mut HashSet<K>,
-) -> Vec<T>
-where
-    K: Eq + Hash,
-    F: FnMut(&T) -> K,
-{
-    items
-        .into_iter()
-        .filter(|item| seen.insert(key_of(item)))
-        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sisd_data::ShardPlan;
+    use sisd_obs::{NullSink, Obs};
     use sisd_stats::Xoshiro256pp;
+    use std::collections::HashSet;
 
     /// Random mask of capacity `n` with roughly `density` fill.
     fn random_mask(rng: &mut Xoshiro256pp, n: usize, density: f64) -> BitSet {
@@ -804,14 +716,15 @@ mod tests {
 
     #[test]
     fn parallel_merge_path_matches_serial_on_a_large_workload() {
-        // Big enough to clear MIN_WORDS_PER_WORKER (the small fixtures
-        // above stay inline by design): 6 parents × 64 rows × 256 words
-        // ≈ 98k words of kernel work, so threads ≥ 2 really spawn.
+        // Big enough to clear MIN_WORDS_PER_WORKER and MIN_ITEMS_PER_WORKER
+        // (the small fixtures above stay inline by design): 10 parents (two
+        // tiles) × 96 rows (three blocks) × 256 words ≈ 246k words of
+        // kernel work, so threads ≥ 2 take the parallel two-pass route.
         let n = 16_384;
         let mut rng = Xoshiro256pp::seed_from_u64(99);
-        let masks: Vec<BitSet> = (0..64).map(|_| random_mask(&mut rng, n, 0.3)).collect();
-        let matrix = MaskMatrix::from_bitsets(n, masks);
-        let parent_sets: Vec<BitSet> = (0..6).map(|_| random_mask(&mut rng, n, 0.5)).collect();
+        let masks: Vec<BitSet> = (0..96).map(|_| random_mask(&mut rng, n, 0.3)).collect();
+        let dense = MaskMatrix::from_bitsets(n, masks.iter().cloned());
+        let parent_sets: Vec<BitSet> = (0..10).map(|_| random_mask(&mut rng, n, 0.5)).collect();
         let parents: Vec<ParentSpec<'_>> = parent_sets
             .iter()
             .map(|ext| ParentSpec {
@@ -819,31 +732,33 @@ mod tests {
                 max_support: ext.count().saturating_sub(1),
             })
             .collect();
-        let min_support = n / 8;
-        let serial = FrontierBuilder::new(
-            &matrix,
-            FrontierConfig {
-                min_support,
-                threads: 1,
-                ..FrontierConfig::default()
-            },
-        )
-        .refine_parents(&parents, |_, _| true);
+        let config = FrontierConfig {
+            min_support: n / 8,
+            ..FrontierConfig::default()
+        };
+        let serial = FrontierBuilder::new(&dense, config).refine_parents(&parents, |_, _| true);
         assert!(!serial.is_empty());
-        for threads in [2usize, 4] {
-            let got = FrontierBuilder::new(
-                &matrix,
-                FrontierConfig {
-                    min_support,
-                    threads,
-                    ..FrontierConfig::default()
-                },
-            )
-            .refine_parents(&parents, |_, _| true);
-            assert_eq!(got.len(), serial.len(), "threads={threads}");
-            for i in 0..serial.len() {
-                assert_eq!(got.meta(i), serial.meta(i), "threads={threads}");
-                assert_eq!(got.child_words(i), serial.child_words(i));
+        for shards in [1usize, 3] {
+            let matrix = MaskMatrix::from_bitsets_sharded(ShardPlan::new(n, shards), masks.clone());
+            for threads in [2usize, 4] {
+                let obs = Obs::leaked(Box::new(NullSink));
+                let got = FrontierBuilder::new(
+                    &matrix,
+                    FrontierConfig {
+                        threads,
+                        obs,
+                        ..config
+                    },
+                )
+                .refine_parents(&parents, |_, _| true);
+                let label = format!("shards={shards} threads={threads}");
+                let report = obs.report().unwrap();
+                assert_eq!(report.get(Metric::FrontierGridDispatch), 1, "{label}");
+                assert_eq!(got.len(), serial.len(), "{label}");
+                for i in 0..serial.len() {
+                    assert_eq!(got.meta(i), serial.meta(i), "{label}");
+                    assert_eq!(got.child_words(i), serial.child_words(i), "{label}");
+                }
             }
         }
     }
@@ -910,18 +825,24 @@ mod tests {
                 ..FrontierConfig::default()
             },
         );
-        let children = builder.refine_parents(&parents, |_, _| true);
         // Key children by row only: every parent generates each row once,
-        // so dedup must keep exactly the first parent's children.
+        // so a first-wins keep predicate must keep exactly the first
+        // parent's children.
         let mut seen = HashSet::new();
-        let deduped = dedup_in_order(0..children.len(), |&i| children.meta(i).row, &mut seen);
+        let deduped =
+            builder.refine_with_prune(&parents, |_, _| true, |_, row, _| seen.insert(row));
         assert_eq!(deduped.len(), matrix.rows());
-        assert!(deduped.iter().all(|&i| children.meta(i).parent == 0));
-        // Reference: the plain sequential filter.
+        assert!(deduped.metas().iter().all(|m| m.parent == 0));
+        // Reference: the plain sequential filter over the unpruned batch.
+        let children = builder.refine_parents(&parents, |_, _| true);
         let mut seen2 = HashSet::new();
         let expect: Vec<usize> = (0..children.len())
             .filter(|&i| seen2.insert(children.meta(i).row))
             .collect();
-        assert_eq!(deduped, expect);
+        assert_eq!(deduped.len(), expect.len());
+        for (k, &i) in expect.iter().enumerate() {
+            assert_eq!(deduped.meta(k), children.meta(i));
+            assert_eq!(deduped.child_words(k), children.child_words(i));
+        }
     }
 }

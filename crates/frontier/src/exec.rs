@@ -1,23 +1,23 @@
 //! The shard-executor dispatch seam.
 //!
 //! [`ShardExecutor`] owns "run this shard's count pass / materialize
-//! pass": the four primitives the sharded refinement and the evaluator's
-//! sharded statistics folds need from a shard, expressed over raw word
-//! slices so a backend can run them in-process, in a pool of worker
-//! processes, or across a socket (the `sisd-exec` crate provides those
-//! backends over the `sisd_data::wire` codec). Everything an executor
-//! returns is an exact integer or exact words, so **any** backend
-//! reproduces the in-process results bit for bit — the sharded
-//! determinism contract survives the process boundary.
+//! pass": the four primitives the frontier's two-pass route over a
+//! sharded matrix and the evaluator's sharded statistics folds need from
+//! a shard, expressed over raw word slices so a backend can run them
+//! in-process, in a pool of worker processes, or across a socket (the
+//! `sisd-exec` crate provides those backends over the `sisd_data::wire`
+//! codec). Everything an executor returns is an exact integer or exact
+//! words, so **any** backend reproduces the in-process results bit for
+//! bit — the sharded determinism contract survives the process boundary.
 //!
 //! Fault tolerance is split in two: backends own per-request timeouts and
-//! bounded retry; the *call sites* ([`ShardedFrontierBuilder`] and the
-//! evaluator folds) own degradation — any `Err` from an executor demotes
-//! that one request to the local kernels, bumps
-//! [`Metric::ExecutorFallbacks`], and the search continues with identical
-//! output. A dead worker can cost latency, never correctness.
+//! bounded retry; the *call sites* ([`FrontierBuilder`] and the evaluator
+//! folds) own degradation — any `Err` from an executor demotes that one
+//! request to the local kernels, bumps [`Metric::ExecutorFallbacks`], and
+//! the search continues with identical output. A dead worker can cost
+//! latency, never correctness.
 //!
-//! [`ShardedFrontierBuilder`]: crate::ShardedFrontierBuilder
+//! [`FrontierBuilder`]: crate::FrontierBuilder
 //! [`Metric::ExecutorFallbacks`]: sisd_obs::Metric::ExecutorFallbacks
 
 use sisd_core::SisdResult;
@@ -25,12 +25,12 @@ use sisd_core::SisdResult;
 /// A backend that executes per-shard count and materialize passes.
 ///
 /// Shards are addressed by `(matrix_id, shard)`, where `matrix_id` is the
-/// process-unique id of a [`ShardedMaskMatrix`] (see
-/// [`ShardedMaskMatrix::matrix_id`]) — workers cache loaded shards under
-/// that key, so repeated refinement calls over the same matrix ship the
-/// arena once. All word slices use the shard's *local* stride; parents are
-/// passed as the parent extension's words restricted to the shard's word
-/// range (zero-copy by the plan's word-alignment invariant).
+/// process-unique id of a [`MaskMatrix`] (see [`MaskMatrix::matrix_id`])
+/// — workers cache loaded shards under that key, so repeated refinement
+/// calls over the same matrix ship the arena once. All word slices use
+/// the shard's *local* stride; parents are passed as the parent
+/// extension's words restricted to the shard's word range (zero-copy by
+/// the plan's word-alignment invariant).
 ///
 /// Implementations must be shareable across threads (`Send + Sync`) —
 /// refinement may issue requests from any worker thread — and every method
@@ -38,8 +38,8 @@ use sisd_core::SisdResult;
 /// *wrong-but-`Ok`* result would silently break bit-exactness, an `Err`
 /// merely costs a local fallback.
 ///
-/// [`ShardedMaskMatrix`]: crate::ShardedMaskMatrix
-/// [`ShardedMaskMatrix::matrix_id`]: crate::ShardedMaskMatrix::matrix_id
+/// [`MaskMatrix`]: crate::MaskMatrix
+/// [`MaskMatrix::matrix_id`]: crate::MaskMatrix::matrix_id
 pub trait ShardExecutor: Send + Sync + std::fmt::Debug {
     /// Human-readable backend name (`"inprocess"`, `"procpool"`,
     /// `"socket"`) for reports and diagnostics.
@@ -152,16 +152,34 @@ impl std::fmt::Debug for ExecHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sisd_data::kernels;
+    use crate::{FrontierBuilder, FrontierConfig, MaskMatrix, ParentSpec};
+    use sisd_data::wire::WireError;
+    use sisd_data::{kernels, BitSet, ShardPlan};
+    use sisd_obs::{Metric, NullSink, Obs};
+    use sisd_stats::Xoshiro256pp;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// Shard table of [`LocalExec`]: `(matrix, shard) -> (stride, words)`.
     type ShardTable = std::collections::HashMap<(u64, u32), (u32, Vec<u64>)>;
 
     /// A trivial in-crate executor used only by unit tests: exact local
-    /// kernels behind the trait.
+    /// kernels behind the trait. It counts `count`/`materialize` requests
+    /// and, when `flaky`, fails every other one.
     #[derive(Debug, Default)]
     struct LocalExec {
         shards: std::sync::Mutex<ShardTable>,
+        requests: AtomicUsize,
+        flaky: bool,
+    }
+
+    impl LocalExec {
+        fn request(&self) -> SisdResult<()> {
+            let k = self.requests.fetch_add(1, Ordering::Relaxed);
+            if self.flaky && k % 2 == 1 {
+                return Err(WireError::Timeout.into());
+            }
+            Ok(())
+        }
     }
 
     impl ShardExecutor for LocalExec {
@@ -190,6 +208,7 @@ mod tests {
             select: &[bool],
             out: &mut [u64],
         ) -> SisdResult<()> {
+            self.request()?;
             let guard = self.shards.lock().unwrap();
             let (stride, words) = &guard[&(matrix_id, shard)];
             let stride = *stride as usize;
@@ -208,6 +227,7 @@ mod tests {
             rows: &[u32],
             out: &mut [u64],
         ) -> SisdResult<()> {
+            self.request()?;
             let guard = self.shards.lock().unwrap();
             let (stride, words) = &guard[&(matrix_id, shard)];
             let stride = *stride as usize;
@@ -259,5 +279,74 @@ mod tests {
         assert_eq!(&mat[0..2], &[parent[0] & words[4], parent[1] & words[5]]);
         assert_eq!(&mat[2..4], &[parent[0] & words[0], parent[1] & words[1]]);
         assert_eq!(exec.and_count(&parent, &words[0..2]).unwrap(), 3);
+    }
+
+    #[test]
+    fn executor_serves_only_the_sharded_two_pass_route_and_falls_back_per_request() {
+        // 10 parents (two tiles) × 96 rows (three blocks) × 256 words:
+        // enough items and words for two workers, so threads = 2 takes
+        // the two-pass route at every shard count.
+        let n = 16_384;
+        let mut rng = Xoshiro256pp::seed_from_u64(5);
+        let masks: Vec<BitSet> = (0..96)
+            .map(|_| BitSet::from_fn(n, |_| rng.uniform() < 0.3))
+            .collect();
+        let parent_sets: Vec<BitSet> = (0..10)
+            .map(|_| BitSet::from_fn(n, |_| rng.uniform() < 0.5))
+            .collect();
+        let parents: Vec<ParentSpec<'_>> = parent_sets
+            .iter()
+            .map(|ext| ParentSpec {
+                ext,
+                max_support: ext.count().saturating_sub(1),
+            })
+            .collect();
+        let allowed = |p: usize, row: usize| !(p + row).is_multiple_of(4);
+        let keep = |_: usize, _: usize, support: usize| !support.is_multiple_of(3);
+        let dense = MaskMatrix::from_bitsets(n, masks.iter().cloned());
+        let config = FrontierConfig {
+            min_support: n / 8,
+            ..FrontierConfig::default()
+        };
+        let expect =
+            FrontierBuilder::new(&dense, config).refine_with_prune(&parents, allowed, keep);
+        assert!(!expect.is_empty());
+        for flaky in [false, true] {
+            for shards in [1usize, 3] {
+                let exec: &'static LocalExec = Box::leak(Box::new(LocalExec {
+                    flaky,
+                    ..LocalExec::default()
+                }));
+                let obs = Obs::leaked(Box::new(NullSink));
+                let matrix =
+                    MaskMatrix::from_bitsets_sharded(ShardPlan::new(n, shards), masks.clone());
+                let got = FrontierBuilder::new(
+                    &matrix,
+                    FrontierConfig {
+                        threads: 2,
+                        obs,
+                        exec: ExecHandle::to(exec),
+                        ..config
+                    },
+                )
+                .refine_with_prune(&parents, allowed, keep);
+                let label = format!("flaky={flaky} shards={shards}");
+                assert_eq!(got.len(), expect.len(), "{label}");
+                for i in 0..expect.len() {
+                    assert_eq!(got.meta(i), expect.meta(i), "{label}");
+                    assert_eq!(got.child_words(i), expect.child_words(i), "{label}");
+                }
+                let report = obs.report().unwrap();
+                assert_eq!(report.get(Metric::FrontierGridDispatch), 1, "{label}");
+                let requests = exec.requests.load(Ordering::Relaxed);
+                let fallbacks = report.get(Metric::ExecutorFallbacks);
+                if shards == 1 {
+                    assert_eq!(requests, 0, "no executor request at S = 1");
+                } else {
+                    assert!(requests > 0, "{label}");
+                    assert_eq!(fallbacks as usize, if flaky { requests / 2 } else { 0 });
+                }
+            }
+        }
     }
 }

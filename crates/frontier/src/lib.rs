@@ -10,65 +10,52 @@
 //!
 //! * [`MaskMatrix`] — **the bit-matrix.** Every condition mask of the
 //!   description language, evaluated once per dataset and packed row-major
-//!   into one contiguous word arena (structure-of-arrays; see the type
-//!   docs for the exact layout). Search levels, strategies, and repeated
-//!   searches over the same dataset all reuse the same rows.
-//! * [`sisd_data::kernels`] + [`refine_block`] — **word-blocked kernels.**
-//!   The fused AND+popcount primitives live next to `BitSet` in
-//!   `sisd-data`: count-only block kernels
-//!   ([`sisd_data::kernels::and_count_many_select`]) for the counting
-//!   pass, a store-only AND ([`sisd_data::kernels::and_into`]) for
-//!   materialization, and the fused AND+store+popcount
-//!   ([`sisd_data::kernels::and_into_count`]) that [`refine_block`]
-//!   applies for the single-pass reference path.
+//!   into a word arena per row-range shard of a word-aligned
+//!   [`sisd_data::ShardPlan`] (structure-of-arrays; see the type docs for
+//!   the exact layout). One shard is the dense unsharded layout. Search
+//!   levels, strategies, and repeated searches over the same dataset all
+//!   reuse the same rows.
+//! * [`sisd_data::kernels`] — **word-blocked kernels.** The fused
+//!   AND+popcount primitives live next to `BitSet` in `sisd-data`:
+//!   count-only block kernels ([`sisd_data::kernels::and_count_many_select`],
+//!   [`sisd_data::kernels::and_count_grid_select`]) for the counting pass
+//!   and a store-only AND ([`sisd_data::kernels::and_into`]) for
+//!   materialization.
 //! * [`FrontierBuilder`] — **count-first deterministic parallel
 //!   refinement.** Pass 1 computes support counts for every allowed
-//!   `(parent, row)` pair with *no store traffic*; the support filters
-//!   and a caller-supplied keep predicate
-//!   ([`FrontierBuilder::refine_with_prune`] — dedup signature checks,
-//!   branch-and-bound optimistic bounds) run serially on the counts; pass
-//!   2 materializes only the survivors into a [`ChildBatch`] — metadata
-//!   plus one packed word arena. A rejected candidate never writes a
-//!   word, and a heap allocation is paid only when a surviving child is
-//!   materialized as a `BitSet` ([`ChildBatch::child_bitset`]). On the
-//!   calling thread the passes fuse per cache-resident block; with
-//!   `threads > 1` both passes split into contiguous work items merged in
-//!   item order.
-//!
-//! Row-range sharding ([`sharded`]) layers one more axis on top: a
-//! [`ShardedMaskMatrix`] keeps one matrix per word-aligned shard of a
-//! [`sisd_data::ShardPlan`], and [`ShardedFrontierBuilder`] /
-//! [`MaskStore`] refine count-first over `(parent, shard, row-block)`
-//! items: pass 1 ships only per-shard counts (summed in shard order —
-//! exact integers), the filters and keep predicate run on the global
-//! totals, and survivors' words are materialized shard by shard and
-//! concatenated in shard order (exact by word alignment), so the sharded
-//! batch is bit-identical to the unsharded one at any shard count — and a
-//! candidate rejected by any filter costs `S` integers, not `S` word
-//! rows.
+//!   `(parent, row)` pair with *no store traffic* (per shard, summed in
+//!   shard order — exact integers); the support filters and a
+//!   caller-supplied keep predicate ([`FrontierBuilder::refine_with_prune`]
+//!   — dedup signature checks, branch-and-bound optimistic bounds) run
+//!   serially on the totals; pass 2 materializes only the survivors into a
+//!   [`ChildBatch`] — metadata plus one packed word arena, each child's
+//!   words written shard by shard into its slot. A rejected candidate
+//!   never writes a word, and a heap allocation is paid only when a
+//!   surviving child is materialized as a `BitSet`
+//!   ([`ChildBatch::child_bitset`]). The builder has two routes: on the
+//!   calling thread over a cache-sized matrix the passes fuse per row
+//!   block; otherwise they run over `(parent tile, row block, shard)`
+//!   work items on the worker pool, merged in item order. An attached
+//!   [`ShardExecutor`] may serve the second route's count and materialize
+//!   passes over a sharded matrix.
 //!
 //! # Determinism contract
 //!
 //! [`FrontierBuilder::refine_parents`] returns children ordered by
 //! `(parent, row)` — the exact visit order of the serial nested loop —
-//! **at any thread count**. Each child's words are a pure function of its
-//! parent and row, so the output is bit-identical however the work was
-//! scheduled. Order-sensitive post-passes (first-wins dedup via
-//! [`dedup_in_order`], top-k selection, batch scoring through
+//! **at any thread count and any shard count**. Each child's words are a
+//! pure function of its parent and row, so the output is bit-identical
+//! however the work was scheduled or partitioned. Order-sensitive
+//! post-passes (first-wins dedup, top-k selection, batch scoring through
 //! `sisd-search`'s evaluator) therefore behave as if the search were
-//! single-threaded, mirroring the `Evaluator::score_all` contract one
-//! layer up. [`ShardedFrontierBuilder::refine_parents`] extends the same
-//! contract across shard counts.
+//! single-threaded and unsharded, mirroring the `Evaluator::score_all`
+//! contract one layer up.
 
 pub mod builder;
 pub mod exec;
 pub mod matrix;
-pub mod sharded;
+mod sharded;
 
-pub use builder::{
-    dedup_in_order, refine_block, ChildBatch, ChildMeta, FrontierBuilder, FrontierConfig,
-    ParentSpec,
-};
+pub use builder::{ChildBatch, ChildMeta, FrontierBuilder, FrontierConfig, ParentSpec};
 pub use exec::{ExecHandle, ShardExecutor};
 pub use matrix::MaskMatrix;
-pub use sharded::{MaskStore, ShardedFrontierBuilder, ShardedMaskMatrix};

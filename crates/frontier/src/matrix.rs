@@ -1,65 +1,106 @@
 //! The condition-mask bit-matrix.
 //!
 //! One [`MaskMatrix`] holds the extension of **every base condition of the
-//! description language** as one row of a single contiguous word arena —
-//! the structure-of-arrays counterpart of a `Vec<BitSet>`. Rows share one
+//! description language** as one row of a word arena — the
+//! structure-of-arrays counterpart of a `Vec<BitSet>`. Rows share one
 //! allocation and a common stride, so a refinement pass streams the whole
 //! language through the cache in row order instead of chasing one heap
 //! allocation per condition.
+//!
+//! The matrix is split by a word-aligned [`ShardPlan`] into one arena per
+//! row-range shard: shard `s`'s arena holds every condition's mask
+//! restricted to `plan.row_range(s)`. The unsharded layout is the
+//! single-shard plan, whose one arena is the whole dense matrix.
+//! Concatenating row `j` across shards in shard order reproduces the
+//! unsharded mask of condition `j` bit for bit (the plan's word
+//! alignment), so every refinement over the matrix is shard-count
+//! invariant.
 
 use sisd_core::Condition;
-use sisd_data::bitset::WORD_BITS;
-use sisd_data::{kernels, BitSet, Dataset};
+use sisd_data::{BitSet, Dataset, ShardPlan};
+use std::sync::atomic::{AtomicU64, Ordering};
 
-/// A dense `rows × n` bit-matrix: row `j` is the extension (row mask) of
-/// condition `j`, packed 64 columns per word in one contiguous arena.
+/// Process-unique ids for [`MaskMatrix`] instances, so executor backends
+/// can cache loaded shards per matrix (clones share the id — matrices are
+/// immutable after construction, so a shared id always names identical
+/// bits).
+static NEXT_MATRIX_ID: AtomicU64 = AtomicU64::new(1);
+
+/// A `rows × n` bit-matrix: row `j` is the extension (row mask) of
+/// condition `j`, packed 64 columns per word, one arena per shard.
 ///
-/// Layout: row `j` occupies words `j·stride .. (j+1)·stride`, where
-/// `stride = ceil(n / 64)`; within a row, bit `i % 64` of word `i / 64` is
-/// dataset row `i`, and tail bits beyond `n` are zero (popcounts over
-/// whole rows are exact).
+/// Layout: shard `s` has stride `plan.word_range(s).len()`, and its arena
+/// holds row `j` at words `j·stride_s .. (j+1)·stride_s`; within a row,
+/// bit `i % 64` of word `i / 64` is shard-local row `i`, and tail bits
+/// beyond `n` are zero (popcounts over whole rows are exact). With one
+/// shard, row `j` occupies words `j·stride .. (j+1)·stride` of the single
+/// arena, `stride = ceil(n / 64)`.
 #[derive(Debug, Clone)]
 pub struct MaskMatrix {
-    words: Vec<u64>,
-    stride: usize,
-    n: usize,
+    plan: ShardPlan,
+    arenas: Vec<Vec<u64>>,
     rows: usize,
+    matrix_id: u64,
 }
 
 impl MaskMatrix {
     /// Evaluates every condition over the dataset once and packs the
-    /// resulting masks as rows. This is the *only* place a search needs to
-    /// run [`Condition::evaluate`]: every level of every search over the
-    /// same dataset reuses these rows.
+    /// resulting masks as rows of one dense arena. This is the *only*
+    /// place a search needs to run [`Condition::evaluate`]: every level of
+    /// every search over the same dataset reuses these rows.
     pub fn evaluate(data: &Dataset, conditions: &[Condition]) -> Self {
-        Self::from_bitsets(data.n(), conditions.iter().map(|c| c.evaluate(data)))
+        Self::evaluate_sharded(data, conditions, 1)
     }
 
-    /// Packs pre-evaluated masks (each of capacity `n`) as rows.
+    /// [`MaskMatrix::evaluate`] split into `shards` word-aligned row-range
+    /// arenas. Each mask is evaluated over the whole dataset and its words
+    /// are dealt to the shards, so at most one mask exists outside the
+    /// arenas at any time.
+    ///
+    /// # Panics
+    /// Panics when `shards == 0`.
+    pub fn evaluate_sharded(data: &Dataset, conditions: &[Condition], shards: usize) -> Self {
+        Self::from_bitsets_sharded(
+            ShardPlan::new(data.n(), shards),
+            conditions.iter().map(|c| c.evaluate(data)),
+        )
+    }
+
+    /// Packs pre-evaluated masks (each of capacity `n`) as rows of one
+    /// dense arena.
     ///
     /// # Panics
     /// Panics if a mask's capacity differs from `n`.
     pub fn from_bitsets(n: usize, masks: impl IntoIterator<Item = BitSet>) -> Self {
-        let stride = n.div_ceil(WORD_BITS);
-        let mut words = Vec::new();
+        Self::from_bitsets_sharded(ShardPlan::new(n, 1), masks)
+    }
+
+    /// Packs pre-evaluated full-dataset masks as rows, split by `plan`.
+    ///
+    /// # Panics
+    /// Panics if a mask's capacity differs from `plan.n()`.
+    pub fn from_bitsets_sharded(plan: ShardPlan, masks: impl IntoIterator<Item = BitSet>) -> Self {
+        let mut arenas = vec![Vec::new(); plan.shards()];
         let mut rows = 0usize;
         for mask in masks {
-            assert_eq!(mask.len(), n, "MaskMatrix: mask capacity mismatch");
-            words.extend_from_slice(mask.words());
+            assert_eq!(mask.len(), plan.n(), "MaskMatrix: mask capacity mismatch");
+            for (s, arena) in arenas.iter_mut().enumerate() {
+                arena.extend_from_slice(&mask.words()[plan.word_range(s)]);
+            }
             rows += 1;
         }
         Self {
-            words,
-            stride,
-            n,
+            plan,
+            arenas,
             rows,
+            matrix_id: NEXT_MATRIX_ID.fetch_add(1, Ordering::Relaxed),
         }
     }
 
     /// Number of dataset rows each mask ranges over.
     #[inline]
     pub fn n(&self) -> usize {
-        self.n
+        self.plan.n()
     }
 
     /// Number of condition masks (matrix rows).
@@ -68,45 +109,53 @@ impl MaskMatrix {
         self.rows
     }
 
-    /// Words per row.
+    /// Words per full-dataset row (summed over the shards).
     #[inline]
     pub fn stride(&self) -> usize {
-        self.stride
+        self.plan.n().div_ceil(sisd_data::bitset::WORD_BITS)
     }
 
-    /// The words of row `j`.
+    /// The row partition the arenas are split by.
     #[inline]
-    pub fn row_words(&self, j: usize) -> &[u64] {
-        &self.words[j * self.stride..(j + 1) * self.stride]
+    pub fn plan(&self) -> &ShardPlan {
+        &self.plan
     }
 
-    /// The contiguous arena slice covering rows `lo..hi` — the block shape
+    /// Process-unique id executor backends key their shard caches by.
+    #[inline]
+    pub fn matrix_id(&self) -> u64 {
+        self.matrix_id
+    }
+
+    /// The words of row `j` in shard `s`.
+    #[inline]
+    pub fn row_words(&self, s: usize, j: usize) -> &[u64] {
+        self.block_words(s, j, j + 1)
+    }
+
+    /// Shard `s`'s arena slice covering rows `lo..hi` — the block shape
     /// [`sisd_data::kernels::and_count_many`] consumes.
     #[inline]
-    pub fn block_words(&self, lo: usize, hi: usize) -> &[u64] {
-        &self.words[lo * self.stride..hi * self.stride]
+    pub fn block_words(&self, s: usize, lo: usize, hi: usize) -> &[u64] {
+        let stride = self.plan.word_range(s).len();
+        &self.arenas[s][lo * stride..hi * stride]
     }
 
-    /// Row `j` materialized back into an owned [`BitSet`].
+    /// Row `j` materialized back into an owned full-dataset [`BitSet`]
+    /// (its shard rows concatenated in shard order).
     pub fn row_bitset(&self, j: usize) -> BitSet {
-        BitSet::from_words(self.row_words(j).to_vec(), self.n)
+        let words = (0..self.plan.shards())
+            .flat_map(|s| self.row_words(s, j).iter().copied())
+            .collect();
+        BitSet::from_words(words, self.n())
     }
 
     /// Population count of row `j` (the condition's support).
     pub fn row_count(&self, j: usize) -> usize {
-        self.row_words(j)
-            .iter()
+        (0..self.plan.shards())
+            .flat_map(|s| self.row_words(s, j))
             .map(|w| w.count_ones() as usize)
             .sum()
-    }
-
-    /// `popcount(parent ∩ row_j)` for every row in `lo..hi`, written to
-    /// `counts` (one entry per row in order). A thin, bounds-checked
-    /// wrapper over [`sisd_data::kernels::and_count_many`].
-    pub fn and_count_block(&self, parent: &BitSet, lo: usize, hi: usize, counts: &mut [usize]) {
-        assert_eq!(parent.len(), self.n, "MaskMatrix: parent capacity mismatch");
-        assert_eq!(counts.len(), hi - lo, "MaskMatrix: counts length mismatch");
-        kernels::and_count_many(parent.words(), self.block_words(lo, hi), counts);
     }
 }
 
@@ -114,7 +163,7 @@ impl MaskMatrix {
 mod tests {
     use super::*;
     use sisd_core::{ConditionOp, Intention};
-    use sisd_data::Column;
+    use sisd_data::{kernels, Column};
     use sisd_linalg::Matrix;
 
     fn data(n: usize) -> Dataset {
@@ -172,7 +221,11 @@ mod tests {
         let m = MaskMatrix::evaluate(&d, &conds);
         let parent = Intention::empty().with(conds[0]).evaluate(&d);
         let mut counts = vec![0usize; conds.len()];
-        m.and_count_block(&parent, 0, conds.len(), &mut counts);
+        kernels::and_count_many(
+            parent.words(),
+            m.block_words(0, 0, conds.len()),
+            &mut counts,
+        );
         for (j, c) in conds.iter().enumerate() {
             assert_eq!(counts[j], parent.intersection_count(&c.evaluate(&d)));
         }

@@ -1,905 +1,176 @@
-//! Row-range-sharded mask matrices and frontier refinement.
+//! The executor-served passes of sharded refinement.
 //!
-//! The shard-aware half of the frontier subsystem: a [`ShardedMaskMatrix`]
-//! keeps one [`MaskMatrix`] **per shard** of a word-aligned
-//! [`ShardPlan`], and a [`ShardedFrontierBuilder`] refines frontier
-//! parents against those per-shard matrices over `(parent, shard,
-//! row-block)` work items. Each shard's kernels touch only that shard's
-//! words — the shape that lets shards live in separate allocations today
-//! and out-of-core or on other nodes later — and the merge recombines the
-//! per-shard partials **in shard order**:
-//!
-//! * a child's support is the sum of its per-shard intersection counts
-//!   (exact integers, so the sum equals the unsharded popcount), and
-//! * a child's extension words are the concatenation of its per-shard
-//!   words (exact by the plan's word-alignment invariant).
-//!
-//! The emitted [`ChildBatch`] is therefore **bit-identical** to what the
-//! unsharded [`FrontierBuilder`] emits over the equivalent whole-dataset
-//! matrix — same children, same `(parent, row)` order, same words — at
-//! any thread count *and any shard count*, `S = 1` included.
-//!
-//! **Count first, materialize survivors.** No shard knows a candidate's
-//! total support, so the support filters can only run after the cross-
-//! shard merge — the trap is buffering every candidate's per-shard child
-//! words until then. The sharded builder avoids it with the same two-pass
-//! split as the unsharded one: pass 1 computes **counts only** per
-//! `(parent, shard, row-block)` item (no word is written anywhere), the
-//! per-shard counts are summed in shard order and the support filters plus
-//! the caller's keep predicate run once on the global totals, and pass 2
-//! materializes only the survivors — each child's words computed shard by
-//! shard straight into its [`ChildBatch`] arena slot, concatenated in
-//! shard order (exact by the plan's word-alignment invariant). A rejected
-//! candidate costs `S` integers instead of its full word row, which is
-//! what makes per-shard work cheap enough to ship out-of-core or
-//! cross-node.
+//! Over a [`MaskMatrix`] with more than one shard, the builder's two-pass
+//! route may hand its count producer and its materializer to an attached
+//! [`ShardExecutor`]. [`ExecPasses`] is that hand-off: it issues one
+//! request per `(parent, shard)` for counts and one per
+//! `(shard, parent run)` for survivor words, and redoes any failed request
+//! with the local kernels. Its outputs are exactly the local producers'
+//! — the dense per-`(parent, row)` totals and each survivor's words in its
+//! word range — so the builder's serial filter and batch layout are the
+//! same whichever producer ran, and so are the output bits.
 
-use crate::builder::{
-    materialize_survivors, record_refine, run_chunked, RefineTally, BLOCK_ROWS,
-    MIN_ITEMS_PER_WORKER, MIN_WORDS_PER_WORKER, SKIPPED,
-};
+use crate::builder::{ChildMeta, ParentSpec, SKIPPED};
 use crate::exec::ShardExecutor;
 use crate::matrix::MaskMatrix;
-use crate::{ChildBatch, ChildMeta, FrontierBuilder, FrontierConfig, ParentSpec};
-use sisd_core::Condition;
-use sisd_data::shard::ShardPlan;
-use sisd_data::{kernels, BitSet, Dataset, ShardedDataset};
-use sisd_obs::Metric;
-use std::sync::atomic::{AtomicU64, Ordering};
+use sisd_core::SisdResult;
+use sisd_data::kernels;
+use sisd_obs::{Metric, ObsHandle};
 
-/// Process-unique ids for [`ShardedMaskMatrix`] instances, so executor
-/// backends can cache loaded shards per matrix (clones share the id —
-/// matrices are immutable after construction, so a shared id always names
-/// identical bits).
-static NEXT_MATRIX_ID: AtomicU64 = AtomicU64::new(1);
-
-/// One condition bit-matrix per row-range shard.
-///
-/// Matrix rows are condition indices exactly as in [`MaskMatrix`]; shard
-/// `s`'s matrix holds each condition's mask restricted to
-/// `plan.row_range(s)`. Concatenating row `j` across shards in shard
-/// order reproduces the unsharded mask of condition `j` bit for bit.
-#[derive(Debug, Clone)]
-pub struct ShardedMaskMatrix {
-    plan: ShardPlan,
-    shards: Vec<MaskMatrix>,
-    rows: usize,
-    matrix_id: u64,
+/// `true` when an executor request succeeded; a failure (the backend's
+/// bounded retry has already run) is counted as a fallback, and the caller
+/// redoes that one request with the local kernels.
+fn served(obs: ObsHandle, request: SisdResult<()>) -> bool {
+    let ok = request.is_ok();
+    if !ok {
+        obs.incr(Metric::ExecutorFallbacks);
+    }
+    ok
 }
 
-impl ShardedMaskMatrix {
-    /// Evaluates every condition on every shard view — the sharded
-    /// counterpart of [`MaskMatrix::evaluate`]. Each shard's evaluation
-    /// touches only that shard's rows.
-    pub fn evaluate(data: &ShardedDataset, conditions: &[Condition]) -> Self {
-        Self::from_parts(
-            data.plan().clone(),
-            (0..data.shards())
-                .map(|s| MaskMatrix::evaluate(data.shard(s), conditions))
-                .collect(),
-        )
-    }
-
-    /// [`ShardedMaskMatrix::evaluate`] building each shard view
-    /// transiently — slice one row range, evaluate its masks, drop the
-    /// view — so the extra memory is bounded by **one** shard's rows
-    /// instead of a full second copy of the dataset. The entry point for
-    /// searches, which only retain the masks.
-    pub fn evaluate_transient(data: &Dataset, shards: usize, conditions: &[Condition]) -> Self {
-        let plan = ShardPlan::new(data.n(), shards);
-        let parts = (0..plan.shards())
-            .map(|s| MaskMatrix::evaluate(&data.slice_rows(plan.row_range(s)), conditions))
-            .collect();
-        Self::from_parts(plan, parts)
-    }
-
-    /// Wraps pre-built per-shard matrices.
-    ///
-    /// # Panics
-    /// Panics when the matrix count differs from the plan's shard count,
-    /// a shard matrix's capacity differs from its row range, or the
-    /// matrices disagree on the condition count.
-    pub fn from_parts(plan: ShardPlan, shards: Vec<MaskMatrix>) -> Self {
-        assert_eq!(
-            shards.len(),
-            plan.shards(),
-            "ShardedMaskMatrix: {} matrices for {} shards",
-            shards.len(),
-            plan.shards()
-        );
-        let rows = shards.first().map_or(0, MaskMatrix::rows);
-        for (s, m) in shards.iter().enumerate() {
-            assert_eq!(
-                m.n(),
-                plan.shard_len(s),
-                "ShardedMaskMatrix: shard {s} capacity mismatch"
-            );
-            assert_eq!(m.rows(), rows, "ShardedMaskMatrix: shard {s} row count");
-        }
-        Self {
-            plan,
-            shards,
-            rows,
-            matrix_id: NEXT_MATRIX_ID.fetch_add(1, Ordering::Relaxed),
-        }
-    }
-
-    /// Process-unique id executor backends key their shard caches by.
-    #[inline]
-    pub fn matrix_id(&self) -> u64 {
-        self.matrix_id
-    }
-
-    /// The row partition the matrices are sharded by.
-    #[inline]
-    pub fn plan(&self) -> &ShardPlan {
-        &self.plan
-    }
-
-    /// Number of dataset rows across all shards.
-    #[inline]
-    pub fn n(&self) -> usize {
-        self.plan.n()
-    }
-
-    /// Number of condition masks (matrix rows).
-    #[inline]
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Shard `s`'s matrix.
-    #[inline]
-    pub fn shard(&self, s: usize) -> &MaskMatrix {
-        &self.shards[s]
-    }
-
-    /// Condition `j`'s full-dataset mask, merged from the shards in shard
-    /// order — bit-identical to the unsharded matrix row.
-    pub fn row_bitset(&self, j: usize) -> BitSet {
-        let parts: Vec<BitSet> = self.shards.iter().map(|m| m.row_bitset(j)).collect();
-        BitSet::concat_words(&parts)
-    }
-
-    /// Condition `j`'s full-dataset support: the per-shard popcounts
-    /// summed (exact).
-    pub fn row_count(&self, j: usize) -> usize {
-        self.shards.iter().map(|m| m.row_count(j)).sum()
-    }
+/// One refinement call's executor-served passes over a sharded matrix.
+pub(crate) struct ExecPasses<'m> {
+    exec: &'static dyn ShardExecutor,
+    matrix: &'m MaskMatrix,
+    obs: ObsHandle,
+    /// Entry `s`: whether shard `s` is resident on the backend for this
+    /// call. A failed load demotes the whole shard to the local kernels.
+    loaded: Vec<bool>,
 }
 
-/// The sharded refinement engine: [`FrontierBuilder`]'s counterpart over a
-/// [`ShardedMaskMatrix`], emitting bit-identical batches (see the module
-/// docs for the merge contract).
-#[derive(Debug, Clone, Copy)]
-pub struct ShardedFrontierBuilder<'m> {
-    matrix: &'m ShardedMaskMatrix,
-    config: FrontierConfig,
-}
-
-/// Per-`(parent, shard, row-block)` partial output: for every allowed row
-/// of the block, the shard-local child words (packed consecutively at the
-/// shard's stride) and intersection count.
-struct ShardPartial {
-    counts: Vec<usize>,
-    words: Vec<u64>,
-}
-
-impl<'m> ShardedFrontierBuilder<'m> {
-    /// A builder over `matrix` with the given filters/threading.
-    pub fn new(matrix: &'m ShardedMaskMatrix, config: FrontierConfig) -> Self {
-        Self { matrix, config }
-    }
-
-    /// The sharded matrix being refined against.
-    pub fn matrix(&self) -> &'m ShardedMaskMatrix {
-        self.matrix
-    }
-
-    /// Refines every parent against every matrix row with
-    /// `allowed(parent_idx, row) == true` — the same contract and the same
-    /// output, bit for bit, as [`FrontierBuilder::refine_parents`] over
-    /// the unsharded matrix, at any thread and shard count.
-    ///
-    /// Runs count-first (see the module docs): pass 1 ships only per-shard
-    /// support counts, the filters run on the cross-shard totals, and only
-    /// the survivors' words are computed and merged. Output is
-    /// bit-identical to
-    /// [`ShardedFrontierBuilder::refine_parents_single_pass`].
-    ///
-    /// Parents are full-dataset extensions; their per-shard views are
-    /// zero-copy word slices (the plan's word alignment at work).
-    ///
-    /// # Panics
-    /// Panics when a parent's capacity differs from the plan's row count.
-    pub fn refine_parents<F>(&self, parents: &[ParentSpec<'_>], allowed: F) -> ChildBatch
-    where
-        F: Fn(usize, usize) -> bool + Sync,
-    {
-        self.refine_with_prune(parents, allowed, |_, _, _| true)
-    }
-
-    /// [`ShardedFrontierBuilder::refine_parents`] with a serial keep
-    /// predicate between the count pass and materialization — the sharded
-    /// counterpart of [`FrontierBuilder::refine_with_prune`], with the
-    /// identical contract: `keep(parent, row, support)` sees **global**
-    /// (cross-shard-summed) supports, once per support-passing child, in
-    /// `(parent, row)` order, on the calling thread.
-    pub fn refine_with_prune<F, P>(
-        &self,
-        parents: &[ParentSpec<'_>],
-        allowed: F,
-        mut keep: P,
-    ) -> ChildBatch
-    where
-        F: Fn(usize, usize) -> bool + Sync,
-        P: FnMut(usize, usize, usize) -> bool,
-    {
-        let plan = self.matrix.plan();
-        let rows = self.matrix.rows();
-        let nshards = plan.shards();
-        let total_stride = plan.n().div_ceil(sisd_data::bitset::WORD_BITS);
-        for p in parents {
-            assert_eq!(
-                p.ext.len(),
-                plan.n(),
-                "ShardedFrontierBuilder: parent capacity mismatch"
-            );
-        }
-        if parents.is_empty() || rows == 0 {
-            return ChildBatch::with_shape(plan.n(), total_stride);
-        }
-        let obs = self.config.obs;
-        obs.incr(Metric::FrontierRefineCalls);
-
-        // An attached shard executor takes over both passes at any thread
-        // count (it already parallelizes across its own workers); it uses
-        // the same two-pass grid shape, so it reports as a grid dispatch.
-        if let Some(exec) = self.config.exec.get() {
-            obs.incr(Metric::FrontierGridDispatch);
-            return self.refine_with_prune_exec(exec, parents, allowed, keep);
-        }
-
-        let blocks = rows.div_ceil(BLOCK_ROWS);
-        let n_items = parents.len() * blocks * nshards;
-        let total_words = parents.len() * rows * total_stride;
-        let workers = self
-            .config
-            .threads
-            .min(n_items / MIN_ITEMS_PER_WORKER)
-            .min(total_words / MIN_WORDS_PER_WORKER)
-            .max(1);
-        // On the calling thread the keep predicate runs inline, so the
-        // passes fuse per (parent, block): count the block on every shard,
-        // sum, filter, and materialize its survivors while the shard rows
-        // are cache-resident (see the unsharded fused path).
-        if workers <= 1 {
-            obs.incr(Metric::FrontierFusedDispatch);
-            let _fused_span = obs.span(Metric::FrontierFusedNs);
-            return self.refine_fused_serial(parents, allowed, keep);
-        }
-        obs.incr(Metric::FrontierGridDispatch);
-
-        // Pass 1 — count-only per-shard kernels over (parent, shard,
-        // row-block) items, indexed ((p·blocks + b)·S + s) so the merge
-        // can address the S count lanes of any (parent, block) directly.
-        // Each item emits one fixed-width BLOCK_ROWS lane of counts
-        // (SKIPPED where `allowed` rejects or past the block's tail) and
-        // **no words**: a candidate's pre-merge footprint is S integers,
-        // not S word rows. Worker chunks append lanes to one flat vector
-        // each, concatenated in item order, so the merged layout is dense
-        // and scheduling never reorders anything.
-        let count_span = obs.span(Metric::FrontierCountNs);
-        let count_items = |items: std::ops::Range<usize>| -> Vec<usize> {
-            let mut out = Vec::with_capacity(items.len() * BLOCK_ROWS);
-            let mut select = [false; BLOCK_ROWS];
-            for item in items {
-                let s = item % nshards;
-                let b = (item / nshards) % blocks;
-                let p = item / (nshards * blocks);
-                let matrix = self.matrix.shard(s);
-                let parent_words = &parents[p].ext.words()[plan.word_range(s)];
-                let lo = b * BLOCK_ROWS;
-                let hi = rows.min(lo + BLOCK_ROWS);
-                for (j, row) in (lo..hi).enumerate() {
-                    select[j] = allowed(p, row);
-                }
-                let base = out.len();
-                out.resize(base + BLOCK_ROWS, SKIPPED);
-                kernels::and_count_many_select(
-                    parent_words,
-                    matrix.block_words(lo, hi),
-                    &select[..hi - lo],
-                    &mut out[base..base + (hi - lo)],
-                );
-            }
-            out
-        };
-        let partials: Vec<usize> = run_chunked(self.config.pool, n_items, workers, |_, items| {
-            count_items(items)
-        })
-        .into_iter()
-        .flatten()
-        .collect();
-        drop(count_span);
-        let lane = |p: usize, b: usize, s: usize| -> &[usize] {
-            &partials[((p * blocks + b) * nshards + s) * BLOCK_ROWS..][..BLOCK_ROWS]
-        };
-
-        // Serial filter in (parent, row) order: sum the per-shard counts
-        // (exact integers, so the total equals the unsharded popcount),
-        // apply the support filters on the total, then the caller's keep
-        // predicate. No child words exist yet.
-        let mut tally = RefineTally::default();
-        let mut meta: Vec<ChildMeta> = Vec::new();
-        for (p, spec) in parents.iter().enumerate() {
-            for b in 0..blocks {
-                let lo = b * BLOCK_ROWS;
-                let hi = rows.min(lo + BLOCK_ROWS);
-                for (j, row) in (lo..hi).enumerate() {
-                    // `allowed` is shard-independent: shard 0's sentinel
-                    // stands for them all.
-                    if lane(p, b, 0)[j] == SKIPPED {
-                        continue;
-                    }
-                    tally.counted += 1;
-                    let support: usize = (0..nshards).map(|s| lane(p, b, s)[j]).sum();
-                    if support < self.config.min_support || support > spec.max_support {
-                        tally.count_pruned += 1;
-                        continue;
-                    }
-                    if !keep(p, row, support) {
-                        tally.dedup_dropped += 1;
-                        continue;
-                    }
-                    meta.push(ChildMeta {
-                        parent: p,
-                        row,
-                        support,
-                    });
-                }
-            }
-        }
-        tally.materialized = meta.len() as u64;
-        record_refine(obs, tally);
-
-        // Pass 2 — materialize only the survivors: each child's words are
-        // computed shard by shard directly into its arena slot, in shard
-        // order (word concatenation is exact by the plan's alignment
-        // invariant).
-        let materialize_span = obs.span(Metric::FrontierMaterializeNs);
-        let mut words = vec![0u64; meta.len() * total_stride];
-        materialize_survivors(
-            self.config.pool,
-            self.config.threads,
-            total_stride,
-            &meta,
-            &mut words,
-            |m, child| {
-                for s in 0..nshards {
-                    let wr = plan.word_range(s);
-                    kernels::and_into(
-                        &parents[m.parent].ext.words()[wr.clone()],
-                        self.matrix.shard(s).row_words(m.row),
-                        &mut child[wr],
-                    );
-                }
-            },
-        );
-        drop(materialize_span);
-        ChildBatch::from_parts(plan.n(), total_stride, meta, words)
-    }
-
-    /// Count-first refinement routed through a [`ShardExecutor`] backend.
-    ///
-    /// Same two passes, same serial filter, same output — bit for bit —
-    /// as the local grid path; only *where* each shard's kernels run
-    /// changes. Per refinement call: each non-empty shard's arena is
-    /// offered to the backend once (backends deduplicate, so a
-    /// long-running search ships each matrix once per worker), pass 1
-    /// issues one `count` request per `(parent, shard)` carrying the
-    /// parent's shard words plus the row-selection vector and scatters the
-    /// returned exact counts into the standard lane layout, and pass 2
-    /// issues one `materialize` request per `(shard, parent run)` of
-    /// survivors, writing each child's returned words into its fixed word
-    /// range — so results merge in shard order by construction, regardless
-    /// of arrival order.
-    ///
-    /// Any request failure (timeout, dead worker, dropped connection —
-    /// the backends' bounded retry has already run by the time an `Err`
-    /// surfaces here) demotes exactly that request to the local kernels
-    /// and bumps [`Metric::ExecutorFallbacks`]; a failed `load` demotes
-    /// the whole shard for this call. Counts and words are exact either
-    /// way, so fallback never changes the output.
-    fn refine_with_prune_exec<F, P>(
-        &self,
+impl<'m> ExecPasses<'m> {
+    /// Offers each non-empty shard's arena to `exec` (backends
+    /// deduplicate, so a long search ships each matrix once per worker).
+    pub(crate) fn load(
         exec: &'static dyn ShardExecutor,
-        parents: &[ParentSpec<'_>],
-        allowed: F,
-        mut keep: P,
-    ) -> ChildBatch
-    where
-        F: Fn(usize, usize) -> bool + Sync,
-        P: FnMut(usize, usize, usize) -> bool,
-    {
-        let plan = self.matrix.plan();
-        let rows = self.matrix.rows();
-        let nshards = plan.shards();
-        let total_stride = plan.n().div_ceil(sisd_data::bitset::WORD_BITS);
-        let obs = self.config.obs;
-        let mid = self.matrix.matrix_id();
-
-        // Offer each non-empty shard's arena to the backend. A failed
-        // load demotes the shard to local kernels for this whole call.
-        let mut shard_ok = vec![false; nshards];
-        for (s, ok) in shard_ok.iter_mut().enumerate() {
-            let m = self.matrix.shard(s);
-            if m.stride() == 0 {
-                continue; // empty shard: contributes zero to every count
-            }
-            *ok = match exec.load(
-                mid,
-                s as u32,
-                rows as u32,
-                m.stride() as u32,
-                m.block_words(0, rows),
-            ) {
-                Ok(()) => true,
-                Err(_) => {
-                    obs.incr(Metric::ExecutorFallbacks);
-                    false
-                }
-            };
+        matrix: &'m MaskMatrix,
+        obs: ObsHandle,
+    ) -> Self {
+        let plan = matrix.plan();
+        let rows = matrix.rows();
+        let loaded = (0..plan.shards())
+            .map(|s| {
+                let stride = plan.word_range(s).len();
+                stride > 0
+                    && served(
+                        obs,
+                        exec.load(
+                            matrix.matrix_id(),
+                            s as u32,
+                            rows as u32,
+                            stride as u32,
+                            matrix.block_words(s, 0, rows),
+                        ),
+                    )
+            })
+            .collect();
+        Self {
+            exec,
+            matrix,
+            obs,
+            loaded,
         }
-
-        // Pass 1 — counts only, one request per (parent, shard), scattered
-        // into the same ((p·blocks + b)·S + s) lane layout the local grid
-        // path uses so the serial filter below is shared verbatim.
-        let count_span = obs.span(Metric::FrontierCountNs);
-        let blocks = rows.div_ceil(BLOCK_ROWS);
-        let mut partials = vec![SKIPPED; parents.len() * blocks * nshards * BLOCK_ROWS];
-        let mut select = vec![false; rows];
-        let mut counts = vec![0u64; rows];
-        for (p, spec) in parents.iter().enumerate() {
-            for (row, slot) in select.iter_mut().enumerate() {
-                *slot = allowed(p, row);
-            }
-            for s in 0..nshards {
-                let wr = plan.word_range(s);
-                let parent_words = &spec.ext.words()[wr];
-                if parent_words.is_empty() {
-                    counts.fill(0);
-                } else {
-                    let served = shard_ok[s]
-                        && match exec.count(mid, s as u32, parent_words, &select, &mut counts) {
-                            Ok(()) => true,
-                            Err(_) => {
-                                obs.incr(Metric::ExecutorFallbacks);
-                                false
-                            }
-                        };
-                    if !served {
-                        let m = self.matrix.shard(s);
-                        for (row, sel) in select.iter().enumerate() {
-                            if *sel {
-                                counts[row] =
-                                    kernels::and_count(parent_words, m.row_words(row)) as u64;
-                            }
-                        }
-                    }
-                }
-                for b in 0..blocks {
-                    let lo = b * BLOCK_ROWS;
-                    let hi = rows.min(lo + BLOCK_ROWS);
-                    let lane = &mut partials[((p * blocks + b) * nshards + s) * BLOCK_ROWS..]
-                        [..BLOCK_ROWS];
-                    for (j, row) in (lo..hi).enumerate() {
-                        if select[row] {
-                            lane[j] = counts[row] as usize;
-                        }
-                    }
-                }
-            }
-        }
-        drop(count_span);
-        let lane = |p: usize, b: usize, s: usize| -> &[usize] {
-            &partials[((p * blocks + b) * nshards + s) * BLOCK_ROWS..][..BLOCK_ROWS]
-        };
-
-        // Serial filter in (parent, row) order — identical to the local
-        // grid path (same lane layout, same predicates, same tallies).
-        let mut tally = RefineTally::default();
-        let mut meta: Vec<ChildMeta> = Vec::new();
-        for (p, spec) in parents.iter().enumerate() {
-            for b in 0..blocks {
-                let lo = b * BLOCK_ROWS;
-                let hi = rows.min(lo + BLOCK_ROWS);
-                for (j, row) in (lo..hi).enumerate() {
-                    if lane(p, b, 0)[j] == SKIPPED {
-                        continue;
-                    }
-                    tally.counted += 1;
-                    let support: usize = (0..nshards).map(|s| lane(p, b, s)[j]).sum();
-                    if support < self.config.min_support || support > spec.max_support {
-                        tally.count_pruned += 1;
-                        continue;
-                    }
-                    if !keep(p, row, support) {
-                        tally.dedup_dropped += 1;
-                        continue;
-                    }
-                    meta.push(ChildMeta {
-                        parent: p,
-                        row,
-                        support,
-                    });
-                }
-            }
-        }
-        tally.materialized = meta.len() as u64;
-        record_refine(obs, tally);
-
-        // Pass 2 — survivors only. Meta is (parent, row)-ordered, so
-        // parents form contiguous runs; one materialize request per
-        // (shard, parent run), each child's words written into its fixed
-        // word range (shard-order merge by construction).
-        let materialize_span = obs.span(Metric::FrontierMaterializeNs);
-        let mut words = vec![0u64; meta.len() * total_stride];
-        let mut runs: Vec<(usize, std::ops::Range<usize>)> = Vec::new();
-        let mut i = 0usize;
-        while i < meta.len() {
-            let p = meta[i].parent;
-            let mut j = i + 1;
-            while j < meta.len() && meta[j].parent == p {
-                j += 1;
-            }
-            runs.push((p, i..j));
-            i = j;
-        }
-        let mut rows_buf: Vec<u32> = Vec::new();
-        let mut scratch: Vec<u64> = Vec::new();
-        for (s, &shard_served) in shard_ok.iter().enumerate() {
-            let wr = plan.word_range(s);
-            let stride_s = wr.len();
-            if stride_s == 0 {
-                continue;
-            }
-            let m = self.matrix.shard(s);
-            for (p, range) in &runs {
-                let parent_words = &parents[*p].ext.words()[wr.clone()];
-                rows_buf.clear();
-                rows_buf.extend(meta[range.clone()].iter().map(|c| c.row as u32));
-                scratch.clear();
-                scratch.resize(rows_buf.len() * stride_s, 0);
-                let served = shard_served
-                    && match exec.materialize(mid, s as u32, parent_words, &rows_buf, &mut scratch)
-                    {
-                        Ok(()) => true,
-                        Err(_) => {
-                            obs.incr(Metric::ExecutorFallbacks);
-                            false
-                        }
-                    };
-                if served {
-                    for (k, mi) in range.clone().enumerate() {
-                        words[mi * total_stride..][wr.clone()]
-                            .copy_from_slice(&scratch[k * stride_s..][..stride_s]);
-                    }
-                } else {
-                    for mi in range.clone() {
-                        kernels::and_into(
-                            parent_words,
-                            m.row_words(meta[mi].row),
-                            &mut words[mi * total_stride..][wr.clone()],
-                        );
-                    }
-                }
-            }
-        }
-        drop(materialize_span);
-        ChildBatch::from_parts(plan.n(), total_stride, meta, words)
     }
 
-    /// The fused serial form of sharded count-first refinement: per
-    /// `(parent, block)`, count the block's rows on every shard (no
-    /// stores), sum the per-shard counts, filter on the totals, and
-    /// materialize the block's survivors shard by shard while the rows
-    /// are cache-resident. Identical output to the two-pass form by
-    /// construction.
-    fn refine_fused_serial<F, P>(
-        &self,
-        parents: &[ParentSpec<'_>],
-        allowed: F,
-        mut keep: P,
-    ) -> ChildBatch
+    /// Pass 1: one `count` request per `(parent, shard)` carrying the
+    /// parent's shard words and the row selection; the returned exact
+    /// counts are added into dense per-`(parent, row)` totals, [`SKIPPED`]
+    /// where `allowed` rejects.
+    pub(crate) fn count<F>(&self, parents: &[ParentSpec<'_>], allowed: &F) -> Vec<usize>
     where
         F: Fn(usize, usize) -> bool,
-        P: FnMut(usize, usize, usize) -> bool,
     {
         let plan = self.matrix.plan();
         let rows = self.matrix.rows();
-        let nshards = plan.shards();
-        let total_stride = plan.n().div_ceil(sisd_data::bitset::WORD_BITS);
-        let mut tally = RefineTally::default();
-        let mut meta: Vec<ChildMeta> = Vec::new();
-        let mut words: Vec<u64> = Vec::new();
-        let mut select = [false; BLOCK_ROWS];
-        // Per-shard count lanes for one block: lane s occupies
-        // shard_counts[s·BLOCK_ROWS..][..BLOCK_ROWS].
-        let mut shard_counts = vec![0usize; nshards * BLOCK_ROWS];
+        let mut counts = vec![SKIPPED; parents.len() * rows];
+        let mut select = vec![false; rows];
+        let mut shard_counts = vec![0u64; rows];
         for (p, spec) in parents.iter().enumerate() {
-            let parent_words = spec.ext.words();
-            let mut lo = 0usize;
-            while lo < rows {
-                let hi = rows.min(lo + BLOCK_ROWS);
-                for (j, row) in (lo..hi).enumerate() {
-                    select[j] = allowed(p, row);
+            let totals = &mut counts[p * rows..(p + 1) * rows];
+            for (row, (sel, total)) in select.iter_mut().zip(totals.iter_mut()).enumerate() {
+                *sel = allowed(p, row);
+                if *sel {
+                    *total = 0;
                 }
-                for s in 0..nshards {
-                    let lane = &mut shard_counts[s * BLOCK_ROWS..][..hi - lo];
-                    lane.fill(SKIPPED);
-                    kernels::and_count_many_select(
-                        &parent_words[plan.word_range(s)],
-                        self.matrix.shard(s).block_words(lo, hi),
-                        &select[..hi - lo],
-                        lane,
+            }
+            for (s, &resident) in self.loaded.iter().enumerate() {
+                let parent_words = &spec.ext.words()[plan.word_range(s)];
+                if parent_words.is_empty() {
+                    continue; // empty shard: contributes zero to every count
+                }
+                let by_exec = resident
+                    && served(
+                        self.obs,
+                        self.exec.count(
+                            self.matrix.matrix_id(),
+                            s as u32,
+                            parent_words,
+                            &select,
+                            &mut shard_counts,
+                        ),
                     );
-                }
-                for (j, row) in (lo..hi).enumerate() {
-                    if !select[j] {
-                        continue;
-                    }
-                    tally.counted += 1;
-                    let support: usize =
-                        (0..nshards).map(|s| shard_counts[s * BLOCK_ROWS + j]).sum();
-                    if support < self.config.min_support || support > spec.max_support {
-                        tally.count_pruned += 1;
-                        continue;
-                    }
-                    if !keep(p, row, support) {
-                        tally.dedup_dropped += 1;
-                        continue;
-                    }
-                    meta.push(ChildMeta {
-                        parent: p,
-                        row,
-                        support,
-                    });
-                    let base = words.len();
-                    words.resize(base + total_stride, 0);
-                    let child = &mut words[base..];
-                    for s in 0..nshards {
-                        let wr = plan.word_range(s);
-                        kernels::and_into(
-                            &parent_words[wr.clone()],
-                            self.matrix.shard(s).row_words(row),
-                            &mut child[wr],
-                        );
+                for (row, total) in totals.iter_mut().enumerate() {
+                    if select[row] {
+                        *total += if by_exec {
+                            shard_counts[row] as usize
+                        } else {
+                            kernels::and_count(parent_words, self.matrix.row_words(s, row))
+                        };
                     }
                 }
-                lo = hi;
             }
         }
-        tally.materialized = meta.len() as u64;
-        record_refine(self.config.obs, tally);
-        ChildBatch::from_parts(plan.n(), total_stride, meta, words)
+        counts
     }
 
-    /// The single-pass reference: per-shard kernels compute counts *and*
-    /// child words for every allowed candidate, buffered until the
-    /// shard-order merge applies the support filters on the totals — the
-    /// PR 4 sharded refinement path, kept as the bit-exactness oracle for
-    /// the count-first implementation (parity proptests and the benches
-    /// compare against it). Its documented cost — every candidate buffers
-    /// its per-shard partial words even when about to be rejected — is
-    /// exactly what [`ShardedFrontierBuilder::refine_with_prune`] removes.
-    pub fn refine_parents_single_pass<F>(
+    /// Pass 2: survivors are `(parent, row)` ordered, so parents form
+    /// contiguous runs; one `materialize` request per `(shard, parent
+    /// run)`, each child's returned words written into its word range of
+    /// `words` — a shard-order merge by construction, regardless of
+    /// arrival order.
+    pub(crate) fn materialize(
         &self,
         parents: &[ParentSpec<'_>],
-        allowed: F,
-    ) -> ChildBatch
-    where
-        F: Fn(usize, usize) -> bool + Sync,
-    {
+        meta: &[ChildMeta],
+        words: &mut [u64],
+    ) {
         let plan = self.matrix.plan();
-        let rows = self.matrix.rows();
-        let nshards = plan.shards();
-        let total_stride = plan.n().div_ceil(sisd_data::bitset::WORD_BITS);
-        for p in parents {
-            assert_eq!(
-                p.ext.len(),
-                plan.n(),
-                "ShardedFrontierBuilder: parent capacity mismatch"
-            );
-        }
-        if parents.is_empty() || rows == 0 {
-            return ChildBatch::with_shape(plan.n(), total_stride);
-        }
-
-        // Phase 1 — per-shard kernels over (parent, shard, row-block)
-        // items, indexed ((p·blocks + b)·S + s) so the merge can address
-        // the S partials of any (parent, block) directly. Chunked over
-        // scoped threads exactly like the unsharded builder; partials are
-        // collected in item order, so scheduling never reorders anything.
-        let blocks = rows.div_ceil(BLOCK_ROWS);
-        let n_items = parents.len() * blocks * nshards;
-        let run_item = |item: usize| -> ShardPartial {
-            let s = item % nshards;
-            let b = (item / nshards) % blocks;
-            let p = item / (nshards * blocks);
-            let matrix = self.matrix.shard(s);
-            let stride = matrix.stride();
-            let parent_words = &parents[p].ext.words()[plan.word_range(s)];
-            let lo = b * BLOCK_ROWS;
-            let hi = rows.min(lo + BLOCK_ROWS);
-            let mut partial = ShardPartial {
-                counts: Vec::with_capacity(hi - lo),
-                words: Vec::with_capacity((hi - lo) * stride),
-            };
-            let mut scratch = vec![0u64; stride];
-            for row in lo..hi {
-                if !allowed(p, row) {
-                    continue;
-                }
-                let count =
-                    kernels::and_into_count(parent_words, matrix.row_words(row), &mut scratch);
-                partial.counts.push(count);
-                partial.words.extend_from_slice(&scratch);
+        let stride = self.matrix.stride();
+        let mut rows_buf: Vec<u32> = Vec::new();
+        let mut scratch: Vec<u64> = Vec::new();
+        for (s, &resident) in self.loaded.iter().enumerate() {
+            let wr = plan.word_range(s);
+            let shard_stride = wr.len();
+            if shard_stride == 0 {
+                continue;
             }
-            partial
-        };
-        let total_words = parents.len() * rows * total_stride;
-        let workers = self
-            .config
-            .threads
-            .min(n_items / MIN_ITEMS_PER_WORKER)
-            .min(total_words / MIN_WORDS_PER_WORKER)
-            .max(1);
-        let partials: Vec<ShardPartial> = if workers <= 1 {
-            (0..n_items).map(run_item).collect()
-        } else {
-            run_chunked(self.config.pool, n_items, workers, |_, items| {
-                items.map(run_item).collect::<Vec<_>>()
-            })
-            .into_iter()
-            .flatten()
-            .collect()
-        };
-
-        // Phase 2 — serial merge in (parent, row) order: sum the per-shard
-        // counts, apply the support filters on the *total*, and emit the
-        // shard words concatenated in shard order. This is the only place
-        // that sees whole children, and it visits them in exactly the
-        // serial nested-loop order.
-        let mut out = ChildBatch::with_shape(plan.n(), total_stride);
-        let mut child = vec![0u64; total_stride];
-        for p in 0..parents.len() {
-            for b in 0..blocks {
-                let group = &partials[(p * blocks + b) * nshards..(p * blocks + b + 1) * nshards];
-                let lo = b * BLOCK_ROWS;
-                let hi = rows.min(lo + BLOCK_ROWS);
-                // `allowed` is shard-independent, so every shard's partial
-                // lists the same rows in the same positions.
-                let mut k = 0usize;
-                for row in lo..hi {
-                    if !allowed(p, row) {
-                        continue;
+            let mut first = 0usize;
+            for run in meta.chunk_by(|a, b| a.parent == b.parent) {
+                let parent_words = &parents[run[0].parent].ext.words()[wr.clone()];
+                rows_buf.clear();
+                rows_buf.extend(run.iter().map(|c| c.row as u32));
+                scratch.clear();
+                scratch.resize(run.len() * shard_stride, 0);
+                let by_exec = resident
+                    && served(
+                        self.obs,
+                        self.exec.materialize(
+                            self.matrix.matrix_id(),
+                            s as u32,
+                            parent_words,
+                            &rows_buf,
+                            &mut scratch,
+                        ),
+                    );
+                for (k, m) in run.iter().enumerate() {
+                    let out = &mut words[(first + k) * stride..][wr.clone()];
+                    if by_exec {
+                        out.copy_from_slice(&scratch[k * shard_stride..][..shard_stride]);
+                    } else {
+                        kernels::and_into(parent_words, self.matrix.row_words(s, m.row), out);
                     }
-                    let support: usize = group.iter().map(|g| g.counts[k]).sum();
-                    if support >= self.config.min_support && support <= parents[p].max_support {
-                        let mut off = 0usize;
-                        for (s, g) in group.iter().enumerate() {
-                            let stride = self.matrix.shard(s).stride();
-                            child[off..off + stride]
-                                .copy_from_slice(&g.words[k * stride..(k + 1) * stride]);
-                            off += stride;
-                        }
-                        out.push(
-                            ChildMeta {
-                                parent: p,
-                                row,
-                                support,
-                            },
-                            &child,
-                        );
-                    }
-                    k += 1;
                 }
-            }
-        }
-        out
-    }
-}
-
-/// A mask store that is either whole-dataset or sharded by row range —
-/// the single entry point searches use, so strategy code stays agnostic
-/// of the layout. Both variants refine through one call and emit
-/// bit-identical [`ChildBatch`]es (the sharded determinism contract).
-#[derive(Debug, Clone)]
-pub enum MaskStore {
-    /// One contiguous whole-dataset matrix.
-    Dense(MaskMatrix),
-    /// Per-shard matrices over a word-aligned row partition.
-    Sharded(ShardedMaskMatrix),
-}
-
-impl MaskStore {
-    /// Evaluates the condition language once, dense for `shards <= 1`,
-    /// sharded otherwise (per-shard dataset views are built and dropped
-    /// one at a time — only the masks are retained, and peak extra memory
-    /// is one shard's rows).
-    pub fn evaluate(data: &Dataset, conditions: &[Condition], shards: usize) -> Self {
-        if shards > 1 {
-            MaskStore::Sharded(ShardedMaskMatrix::evaluate_transient(
-                data, shards, conditions,
-            ))
-        } else {
-            MaskStore::Dense(MaskMatrix::evaluate(data, conditions))
-        }
-    }
-
-    /// Number of condition masks.
-    pub fn rows(&self) -> usize {
-        match self {
-            MaskStore::Dense(m) => m.rows(),
-            MaskStore::Sharded(m) => m.rows(),
-        }
-    }
-
-    /// Number of dataset rows each mask ranges over.
-    pub fn n(&self) -> usize {
-        match self {
-            MaskStore::Dense(m) => m.n(),
-            MaskStore::Sharded(m) => m.n(),
-        }
-    }
-
-    /// Number of row-range shards (1 for the dense layout).
-    pub fn shards(&self) -> usize {
-        match self {
-            MaskStore::Dense(_) => 1,
-            MaskStore::Sharded(m) => m.plan().shards(),
-        }
-    }
-
-    /// Refines `parents` against every allowed mask under `config`,
-    /// dispatching to the layout's builder. Output is bit-identical
-    /// across layouts.
-    pub fn refine_parents<F>(
-        &self,
-        config: FrontierConfig,
-        parents: &[ParentSpec<'_>],
-        allowed: F,
-    ) -> ChildBatch
-    where
-        F: Fn(usize, usize) -> bool + Sync,
-    {
-        self.refine_with_prune(config, parents, allowed, |_, _, _| true)
-    }
-
-    /// [`MaskStore::refine_parents`] with a serial keep predicate between
-    /// the count pass and materialization (see
-    /// [`FrontierBuilder::refine_with_prune`]): `keep(parent, row,
-    /// support)` sees global supports in `(parent, row)` order on the
-    /// calling thread, and a `false` drops the child before any of its
-    /// words are computed — on either layout.
-    pub fn refine_with_prune<F, P>(
-        &self,
-        config: FrontierConfig,
-        parents: &[ParentSpec<'_>],
-        allowed: F,
-        keep: P,
-    ) -> ChildBatch
-    where
-        F: Fn(usize, usize) -> bool + Sync,
-        P: FnMut(usize, usize, usize) -> bool,
-    {
-        match self {
-            MaskStore::Dense(m) => {
-                FrontierBuilder::new(m, config).refine_with_prune(parents, allowed, keep)
-            }
-            MaskStore::Sharded(m) => {
-                ShardedFrontierBuilder::new(m, config).refine_with_prune(parents, allowed, keep)
+                first += run.len();
             }
         }
     }
@@ -907,57 +178,66 @@ impl MaskStore {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{FrontierBuilder, FrontierConfig, MaskMatrix, ParentSpec};
+    use sisd_data::{BitSet, ShardPlan};
     use sisd_stats::Xoshiro256pp;
 
     fn random_mask(rng: &mut Xoshiro256pp, n: usize, density: f64) -> BitSet {
         BitSet::from_fn(n, |_| rng.uniform() < density)
     }
 
-    /// Per-shard matrices sliced from full-dataset masks.
-    fn shard_matrices(masks: &[BitSet], plan: &ShardPlan) -> Vec<MaskMatrix> {
-        (0..plan.shards())
-            .map(|s| {
-                MaskMatrix::from_bitsets(plan.shard_len(s), masks.iter().map(|m| m.shard(plan, s)))
-            })
-            .collect()
-    }
-
-    fn fixture(seed: u64, n: usize, rows: usize) -> (Vec<BitSet>, Vec<BitSet>) {
-        let mut rng = Xoshiro256pp::seed_from_u64(seed);
-        let masks = (0..rows).map(|_| random_mask(&mut rng, n, 0.4)).collect();
-        let parents = (0..4).map(|_| random_mask(&mut rng, n, 0.6)).collect();
-        (masks, parents)
-    }
-
     #[test]
     fn sharded_rows_merge_to_the_unsharded_masks() {
-        for &(n, rows) in &[(65usize, 5usize), (128, 8), (300, 40), (64, 3)] {
-            let (masks, _) = fixture(7 + n as u64, n, rows);
+        for &(n, rows) in &[(0usize, 3usize), (65, 5), (128, 8), (300, 40), (64, 3)] {
+            let mut rng = Xoshiro256pp::seed_from_u64(7 + n as u64);
+            let masks: Vec<BitSet> = (0..rows).map(|_| random_mask(&mut rng, n, 0.4)).collect();
             let dense = MaskMatrix::from_bitsets(n, masks.iter().cloned());
             for s in [1usize, 2, 3, 7] {
                 let plan = ShardPlan::new(n, s);
-                let sharded =
-                    ShardedMaskMatrix::from_parts(plan.clone(), shard_matrices(&masks, &plan));
+                let sharded = MaskMatrix::from_bitsets_sharded(plan.clone(), masks.iter().cloned());
                 assert_eq!(sharded.rows(), rows);
                 assert_eq!(sharded.n(), n);
+                assert_eq!(sharded.stride(), dense.stride());
                 for j in 0..rows {
-                    assert_eq!(
-                        sharded.row_bitset(j),
-                        dense.row_bitset(j),
-                        "n={n} s={s} row {j}"
-                    );
+                    assert_eq!(sharded.row_bitset(j), dense.row_bitset(j), "n={n} s={s}");
                     assert_eq!(sharded.row_count(j), dense.row_count(j));
+                    for k in 0..s {
+                        assert_eq!(
+                            sharded.row_words(k, j),
+                            &dense.row_words(0, j)[plan.word_range(k)]
+                        );
+                    }
                 }
             }
         }
     }
 
     #[test]
+    #[should_panic(expected = "capacity mismatch")]
+    fn mismatched_shard_capacity_rejected() {
+        MaskMatrix::from_bitsets_sharded(ShardPlan::new(100, 2), [BitSet::full(64)]);
+    }
+
+    #[test]
+    fn empty_parents_rows_or_shards_are_handled() {
+        let plan = ShardPlan::new(100, 7); // trailing shards empty
+        let matrix = MaskMatrix::from_bitsets_sharded(plan, Vec::<BitSet>::new());
+        let builder = FrontierBuilder::new(&matrix, FrontierConfig::default());
+        assert!(builder.refine_parents(&[], |_, _| true).is_empty());
+        let full = BitSet::full(100);
+        let parents = [ParentSpec {
+            ext: &full,
+            max_support: 100,
+        }];
+        assert!(builder.refine_parents(&parents, |_, _| true).is_empty());
+    }
+
+    #[test]
     fn sharded_refinement_is_bit_identical_to_unsharded() {
         for &(n, rows) in &[(65usize, 7usize), (128, 33), (300, 45), (63, 100)] {
-            let (masks, parent_sets) = fixture(n as u64 * 13 + rows as u64, n, rows);
-            let dense = MaskMatrix::from_bitsets(n, masks.iter().cloned());
+            let mut rng = Xoshiro256pp::seed_from_u64(n as u64 * 13 + rows as u64);
+            let masks: Vec<BitSet> = (0..rows).map(|_| random_mask(&mut rng, n, 0.4)).collect();
+            let parent_sets: Vec<BitSet> = (0..4).map(|_| random_mask(&mut rng, n, 0.6)).collect();
             let parents: Vec<ParentSpec<'_>> = parent_sets
                 .iter()
                 .map(|ext| ParentSpec {
@@ -966,26 +246,19 @@ mod tests {
                 })
                 .collect();
             let allowed = |p: usize, row: usize| !(p + 2 * row).is_multiple_of(5);
-            let config = FrontierConfig {
+            let config = |threads| FrontierConfig {
                 min_support: 2,
-                threads: 1,
+                threads,
                 ..FrontierConfig::default()
             };
-            let expect = FrontierBuilder::new(&dense, config).refine_parents(&parents, allowed);
+            let dense = MaskMatrix::from_bitsets(n, masks.iter().cloned());
+            let expect = FrontierBuilder::new(&dense, config(1)).refine_parents(&parents, allowed);
             for s in [1usize, 2, 3, 7] {
                 let plan = ShardPlan::new(n, s);
-                let sharded =
-                    ShardedMaskMatrix::from_parts(plan.clone(), shard_matrices(&masks, &plan));
+                let sharded = MaskMatrix::from_bitsets_sharded(plan, masks.iter().cloned());
                 for threads in [1usize, 2, 4] {
-                    let got = ShardedFrontierBuilder::new(
-                        &sharded,
-                        FrontierConfig {
-                            min_support: 2,
-                            threads,
-                            ..FrontierConfig::default()
-                        },
-                    )
-                    .refine_parents(&parents, allowed);
+                    let got = FrontierBuilder::new(&sharded, config(threads))
+                        .refine_parents(&parents, allowed);
                     assert_eq!(got.len(), expect.len(), "n={n} s={s} t={threads}");
                     for i in 0..expect.len() {
                         assert_eq!(got.meta(i), expect.meta(i), "n={n} s={s} t={threads}");
@@ -997,62 +270,6 @@ mod tests {
                     }
                 }
             }
-        }
-    }
-
-    #[test]
-    fn empty_parents_rows_or_shards_are_handled() {
-        let plan = ShardPlan::new(100, 7); // trailing shards empty
-        let sharded = ShardedMaskMatrix::from_parts(plan.clone(), shard_matrices(&[], &plan));
-        let builder = ShardedFrontierBuilder::new(&sharded, FrontierConfig::default());
-        assert!(builder.refine_parents(&[], |_, _| true).is_empty());
-        let full = BitSet::full(100);
-        let parents = [ParentSpec {
-            ext: &full,
-            max_support: 100,
-        }];
-        assert!(builder.refine_parents(&parents, |_, _| true).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity mismatch")]
-    fn mismatched_shard_capacity_rejected() {
-        let plan = ShardPlan::new(100, 2);
-        let bad = vec![
-            MaskMatrix::from_bitsets(64, std::iter::once(BitSet::full(64))),
-            MaskMatrix::from_bitsets(10, std::iter::once(BitSet::full(10))),
-        ];
-        ShardedMaskMatrix::from_parts(plan, bad);
-    }
-
-    #[test]
-    fn mask_store_dispatch_is_layout_invariant() {
-        let (masks, parent_sets) = fixture(99, 200, 24);
-        let dense = MaskMatrix::from_bitsets(200, masks.iter().cloned());
-        let parents: Vec<ParentSpec<'_>> = parent_sets
-            .iter()
-            .map(|ext| ParentSpec {
-                ext,
-                max_support: 200,
-            })
-            .collect();
-        let config = FrontierConfig {
-            min_support: 1,
-            threads: 2,
-            ..FrontierConfig::default()
-        };
-        let expect = MaskStore::Dense(dense).refine_parents(config, &parents, |_, _| true);
-        let plan = ShardPlan::new(200, 3);
-        let store = MaskStore::Sharded(ShardedMaskMatrix::from_parts(
-            plan.clone(),
-            shard_matrices(&masks, &plan),
-        ));
-        assert_eq!(store.shards(), 3);
-        let got = store.refine_parents(config, &parents, |_, _| true);
-        assert_eq!(got.len(), expect.len());
-        for i in 0..expect.len() {
-            assert_eq!(got.meta(i), expect.meta(i));
-            assert_eq!(got.child_words(i), expect.child_words(i));
         }
     }
 }

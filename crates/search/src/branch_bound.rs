@@ -31,7 +31,7 @@
 //! below it — is a subset of `E` of size at most `m`, so its whole
 //! subtree's IC is at most `max_{m' ≤ m} IC⋆_{m'}(E)`. That predicate is
 //! fed to the count-first frontier builder
-//! ([`sisd_frontier::MaskStore::refine_with_prune`]), which evaluates it on
+//! ([`sisd_frontier::FrontierBuilder::refine_with_prune`]), which evaluates it on
 //! the support counts from the count-only pass — a child that cannot beat
 //! the incumbent is pruned before its extension words are ever written,
 //! not after it has been materialized and scored.
@@ -41,7 +41,7 @@ use crate::refine::{generate_conditions, RefineConfig};
 use crate::EvalConfig;
 use sisd_core::{Condition, DlParams, Intention, LocationPattern};
 use sisd_data::{BitSet, Dataset};
-use sisd_frontier::{FrontierConfig, MaskStore, ParentSpec};
+use sisd_frontier::{FrontierBuilder, FrontierConfig, MaskMatrix, ParentSpec};
 use sisd_model::BackgroundModel;
 
 /// Branch-and-bound configuration.
@@ -93,7 +93,7 @@ struct Searcher<'a> {
     /// All condition masks, evaluated once (contiguously, or per row-range
     /// shard when `cfg.eval.shards > 1`); every node's children are
     /// generated from its rows via `sisd-frontier`.
-    store: MaskStore,
+    matrix: MaskMatrix,
     y: Vec<f64>,
     mu: f64,
     sigma2: f64,
@@ -152,18 +152,29 @@ impl<'a> Searcher<'a> {
     /// (top-`m`) sums into a running maximum per subset size. The final
     /// entry equals the old whole-node `optimistic_ic` exactly (same max
     /// over the same finite set of floats).
+    ///
+    /// Non-finite targets are left out: a subset covering one has a
+    /// non-finite mean, so it never scores finitely. Sizes above the
+    /// finite count carry the running maximum, which keeps the table
+    /// admissible for every subset that can score finitely.
     fn support_bound(&self, ext: &BitSet) -> SupportBound {
-        let mut values: Vec<f64> = ext.iter().map(|i| self.y[i]).collect();
+        let mut values: Vec<f64> = ext
+            .iter()
+            .map(|i| self.y[i])
+            .filter(|v| v.is_finite())
+            .collect();
         values.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let n = values.len();
-        let mut best_ic = vec![f64::NEG_INFINITY; n + 1];
+        let mut best_ic = vec![f64::NEG_INFINITY; ext.count() + 1];
         let (mut bottom, mut top) = (0.0f64, 0.0f64);
-        for m in 1..=n {
-            bottom += values[m - 1];
-            top += values[n - m];
+        for m in 1..best_ic.len() {
             let mut b = best_ic[m - 1];
-            if m >= self.cfg.min_coverage {
-                b = b.max(self.ic(m, bottom)).max(self.ic(m, top));
+            if m <= n {
+                bottom += values[m - 1];
+                top += values[n - m];
+                if m >= self.cfg.min_coverage {
+                    b = b.max(self.ic(m, bottom)).max(self.ic(m, top));
+                }
             }
             best_ic[m] = b;
         }
@@ -223,8 +234,7 @@ impl<'a> Searcher<'a> {
         // prunes no more than the one-at-a-time sweep would.
         let incumbent = self.best_si;
         let mut bound_pruned = 0usize;
-        let children = self.store.refine_with_prune(
-            frontier_cfg,
+        let children = FrontierBuilder::new(&self.matrix, frontier_cfg).refine_with_prune(
             &[ParentSpec { ext, max_support }],
             |_, row| row >= first_cond && !intention.conflicts_with(&self.conditions[row]),
             |_, _, support| {
@@ -280,12 +290,12 @@ pub fn branch_bound_search(
     let mu = model.row_mean(0)[0];
     let sigma2 = model.row_cov(0)[(0, 0)];
     let conditions = generate_conditions(data, &cfg.refine);
-    let store = MaskStore::evaluate(data, &conditions, cfg.eval.shards.max(1));
+    let matrix = MaskMatrix::evaluate_sharded(data, &conditions, cfg.eval.shards.max(1));
     let ev = Evaluator::gaussian(data, model, cfg.dl, cfg.eval);
     let mut s = Searcher {
         data,
         conditions,
-        store,
+        matrix,
         y: data.target_col(0),
         mu,
         sigma2,

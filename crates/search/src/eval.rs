@@ -34,7 +34,9 @@ use sisd_core::{
     LocationScore, SisdResult, SpreadScore,
 };
 use sisd_data::{kernels, BitSet, Dataset, ShardPlan};
-use sisd_frontier::{ChildBatch, ExecHandle, FrontierConfig, MaskStore, ParentSpec};
+use sisd_frontier::{
+    ChildBatch, ExecHandle, FrontierBuilder, FrontierConfig, MaskMatrix, ParentSpec,
+};
 use sisd_model::{BackgroundModel, BinaryBackgroundModel, FactorCache, ModelError};
 use sisd_obs::{Metric, ObsHandle};
 use sisd_par::PoolHandle;
@@ -750,7 +752,7 @@ impl TopK {
 /// with its clones.
 pub(crate) struct SearchMasks {
     conditions: Vec<Condition>,
-    store: MaskStore,
+    matrix: MaskMatrix,
 }
 
 impl SearchMasks {
@@ -758,8 +760,8 @@ impl SearchMasks {
     /// arena, or one arena per row-range shard when `shards > 1`.
     pub(crate) fn build(data: &Dataset, refine: &RefineConfig, shards: usize) -> Self {
         let conditions = generate_conditions(data, refine);
-        let store = MaskStore::evaluate(data, &conditions, shards);
-        Self { conditions, store }
+        let matrix = MaskMatrix::evaluate_sharded(data, &conditions, shards.max(1));
+        Self { conditions, matrix }
     }
 }
 
@@ -767,7 +769,7 @@ impl std::fmt::Debug for SearchMasks {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SearchMasks")
             .field("conditions", &self.conditions.len())
-            .field("shards", &self.store.shards())
+            .field("shards", &self.matrix.plan().shards())
             .finish()
     }
 }
@@ -810,9 +812,8 @@ struct Keeper {
 /// level is then scored and the `width` best become the next frontier.
 /// The masks come prebuilt in `masks` (see [`SearchMasks`]).
 ///
-/// With `ev.shards() > 1` the mask matrix is built per row-range shard and
-/// refinement runs count-first over `(parent, shard, row-block)` items:
-/// pass 1 ships only per-shard counts, the dedup/support filters run on
+/// With `ev.shards() > 1` the mask matrix holds one arena per row-range
+/// shard and refinement counts per shard: the dedup/support filters run on
 /// the shard-summed totals, and only survivors are materialized (merged in
 /// shard order); statistics aggregate from per-shard partials inside the
 /// engine. The search result is bit-identical at any shard count.
@@ -842,14 +843,17 @@ pub(crate) fn run_beam_levels(
     let obs = ev.obs();
     obs.incr(Metric::SearchRuns);
     let data = ev.data();
-    let SearchMasks { conditions, store } = masks;
-    let frontier_cfg = FrontierConfig {
-        min_support: cfg.min_coverage,
-        threads: ev.threads(),
-        pool: ev.pool(),
-        obs: ev.obs(),
-        exec: ev.exec(),
-    };
+    let SearchMasks { conditions, matrix } = masks;
+    let builder = FrontierBuilder::new(
+        matrix,
+        FrontierConfig {
+            min_support: cfg.min_coverage,
+            threads: ev.threads(),
+            pool: ev.pool(),
+            obs: ev.obs(),
+            exec: ev.exec(),
+        },
+    );
     let max_cov =
         ((data.n() as f64 * cfg.max_coverage_fraction).floor() as usize).max(cfg.min_coverage);
 
@@ -895,10 +899,9 @@ pub(crate) fn run_beam_levels(
         match cfg.time_budget {
             // No budget: one batch, maximally parallel.
             None => {
-                let children =
-                    store.refine_with_prune(frontier_cfg, &parents, allowed, |p, row, _| {
-                        seen.insert(intention_key_with(intents[p], &conditions[row]))
-                    });
+                let children = builder.refine_with_prune(&parents, allowed, |p, row, _| {
+                    seen.insert(intention_key_with(intents[p], &conditions[row]))
+                });
                 batches.push((0, children));
             }
             // Budgeted: refine in slices of one thread-round of parents so
@@ -912,8 +915,7 @@ pub(crate) fn run_beam_levels(
                         break;
                     }
                     let base = s * slice;
-                    let children = store.refine_with_prune(
-                        frontier_cfg,
+                    let children = builder.refine_with_prune(
                         chunk,
                         |p, row| allowed(base + p, row),
                         |p, row, _| {
@@ -1245,13 +1247,13 @@ mod tests {
             .unwrap();
         for shards in [1usize, 3] {
             let masks = SearchMasks::build(&data, &RefineConfig::default(), shards);
-            let cfg = FrontierConfig::default();
             let root = BitSet::full(data.n());
             let root_spec = ParentSpec {
                 ext: &root,
                 max_support: data.n() - 1,
             };
-            let level1 = masks.store.refine_parents(cfg, &[root_spec], |_, _| true);
+            let builder = FrontierBuilder::new(&masks.matrix, FrontierConfig::default());
+            let level1 = builder.refine_parents(&[root_spec], |_, _| true);
             let parents: Vec<BitSet> = (0..level1.len()).map(|i| level1.child_bitset(i)).collect();
             let specs: Vec<ParentSpec<'_>> = parents
                 .iter()
@@ -1260,9 +1262,7 @@ mod tests {
                     max_support: ext.count() - 1,
                 })
                 .collect();
-            let level2 = masks
-                .store
-                .refine_parents(cfg, &specs, |p, row| row != level1.meta(p).row);
+            let level2 = builder.refine_parents(&specs, |p, row| row != level1.meta(p).row);
             assert!(level2.len() > Evaluator::MIN_CHUNK * 2);
             let intention = |i: usize| {
                 let m = level2.meta(i);

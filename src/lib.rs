@@ -35,7 +35,7 @@ pub mod prelude {
         DlParams, Intention, LocationPattern, LocationScore, SisdError, SisdResult, SpreadPattern,
         SpreadScore,
     };
-    pub use sisd_data::{datasets, BitSet, Column, Dataset, ShardPlan, ShardedDataset};
+    pub use sisd_data::{datasets, BitSet, Column, Dataset, ShardPlan};
     pub use sisd_linalg::Matrix;
     pub use sisd_model::{BackgroundModel, BinaryBackgroundModel};
     pub use sisd_obs::{JsonlSink, Metric, NullSink, Obs, ObsHandle, RingSink, SearchReport};

@@ -240,14 +240,14 @@ fn one_attribute_dataset(n: usize) -> Dataset {
 fn beam_levels_do_not_clone_next_frontier_parents() {
     // PR 4 left one known per-level allocation: the `width` best scored
     // results were cloned (intention + extension) into the next frontier
-    // because the scored level moved into the top-k log immediately. The
-    // beam now retains each scored level until the following level has
-    // been generated and the frontier *borrows* it, so the clones are
-    // gone — and with them the only width-dependent allocation of a
-    // level transition. Pin that by comparing a `width = 1` search with a
-    // `width = 8` search that do otherwise identical work (depth 1, all
-    // eight children of the root generated, scored, and logged in both):
-    // the old code paid `width × ext_bytes` in keeper clones (~57 KiB
+    // at every level, the last one included. The beam now copies its
+    // `width` keepers (intention + extension) out of the level's child
+    // arena only when a further level will refine them, so the last
+    // level's only width-dependent allocation is gone. Pin that by
+    // comparing a `width = 1` search with a `width = 8` search that do
+    // otherwise identical work (depth 1, all eight children of the root
+    // generated, scored, and logged in both, no next frontier built): the
+    // old code paid `width × ext_bytes` in keeper clones (~57 KiB
     // difference here), the new code pays zero.
     const N: usize = 65_536;
     let data = one_attribute_dataset(N);

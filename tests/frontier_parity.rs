@@ -1,14 +1,14 @@
 //! Frontier parity: the batched `sisd-frontier` kernels and builder must be
 //! **identical** to the per-candidate `BitSet::and`/`count` loop they
 //! replaced — same children, same order, same words — across random masks,
-//! lengths crossing word boundaries, and thread counts; and the searches
-//! built on them must return bit-identical results to the pre-refactor
-//! serial generation path at 1 and 4 threads.
+//! lengths crossing word boundaries, thread counts and shard counts; and
+//! the searches built on them must return bit-identical results to the
+//! pre-refactor serial generation path at 1 and 4 threads.
 
 use proptest::prelude::*;
 use sisd::core::{ConditionOp, Intention, LocationPattern};
-use sisd::data::{kernels, BitSet, Column, Dataset};
-use sisd::frontier::{dedup_in_order, FrontierBuilder, FrontierConfig, MaskMatrix, ParentSpec};
+use sisd::data::{kernels, BitSet, Column, Dataset, ShardPlan};
+use sisd::frontier::{FrontierBuilder, FrontierConfig, MaskMatrix, ParentSpec};
 use sisd::linalg::Matrix;
 use sisd::model::BackgroundModel;
 use sisd::search::{
@@ -18,6 +18,10 @@ use sisd::search::{
 use sisd::stats::Xoshiro256pp;
 use sisd_par::PoolHandle;
 use std::collections::HashSet;
+use std::hash::Hash;
+
+const SHARD_COUNTS: [usize; 4] = [1, 2, 3, 7];
+const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
 
 fn random_mask(rng: &mut Xoshiro256pp, n: usize, density: f64) -> BitSet {
     BitSet::from_fn(n, |_| rng.uniform() < density)
@@ -48,6 +52,47 @@ fn reference_refine(
     out
 }
 
+/// In-order first-wins dedup: keeps each item whose key is new to `seen`,
+/// preserving input order. Run after a refinement, it reproduces the
+/// serial generate-and-dedup loop exactly, because the builder emits
+/// children in the serial `(parent, row)` order at any thread count.
+fn dedup_in_order<T, K: Eq + Hash>(
+    items: impl IntoIterator<Item = T>,
+    mut key_of: impl FnMut(&T) -> K,
+    seen: &mut HashSet<K>,
+) -> Vec<T> {
+    items
+        .into_iter()
+        .filter(|item| seen.insert(key_of(item)))
+        .collect()
+}
+
+/// Every reference child that passes `keep`, in order, paired with its
+/// index in the batch `got` must hold: same metadata, same words.
+fn check_against_reference(
+    got: &sisd::frontier::ChildBatch,
+    expect: &[(usize, usize, usize, BitSet)],
+    mut keep: impl FnMut(usize, usize, usize) -> bool,
+    label: &str,
+) -> Result<(), TestCaseError> {
+    let kept: Vec<&(usize, usize, usize, BitSet)> = expect
+        .iter()
+        .filter(|(p, row, support, _)| keep(*p, *row, *support))
+        .collect();
+    prop_assert_eq!(got.len(), kept.len(), "{}", label);
+    for (i, (p, row, support, ext)) in kept.into_iter().enumerate() {
+        let m = got.meta(i);
+        prop_assert_eq!(
+            (m.parent, m.row, m.support),
+            (*p, *row, *support),
+            "{}",
+            label
+        );
+        prop_assert_eq!(&got.child_bitset(i), ext, "{}", label);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -63,7 +108,7 @@ proptest! {
         let matrix = MaskMatrix::from_bitsets(n, masks.iter().cloned());
         let parent = random_mask(&mut rng, n, 0.6);
         let mut counts = vec![0usize; rows];
-        matrix.and_count_block(&parent, 0, rows, &mut counts);
+        kernels::and_count_many(parent.words(), matrix.block_words(0, 0, rows), &mut counts);
         for (row, mask) in masks.iter().enumerate() {
             prop_assert_eq!(counts[row], parent.and(mask).count());
             prop_assert_eq!(
@@ -74,8 +119,8 @@ proptest! {
     }
 
     /// The count-first builder's children — order, supports, and extension
-    /// words — are identical to the serial per-candidate loop **and** to
-    /// the single-pass (PR 4) builder at every thread count.
+    /// words — are identical to the serial per-candidate loop at every
+    /// shard × thread count.
     #[test]
     fn refine_parents_matches_per_candidate_loop(seed in 0u64..10_000) {
         let mut rng = Xoshiro256pp::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
@@ -83,7 +128,6 @@ proptest! {
         let rows = 1 + (seed as usize) % 50;
         let min_support = (seed as usize) % 4;
         let masks: Vec<BitSet> = (0..rows).map(|_| random_mask(&mut rng, n, 0.4)).collect();
-        let matrix = MaskMatrix::from_bitsets(n, masks.iter().cloned());
         let parent_sets: Vec<BitSet> =
             (0..4).map(|_| random_mask(&mut rng, n, 0.7)).collect();
         let parents_ref: Vec<(&BitSet, usize)> = parent_sets
@@ -98,36 +142,28 @@ proptest! {
             .iter()
             .map(|ext| ParentSpec { ext, max_support: ext.count().saturating_sub(1) })
             .collect();
-        for threads in [1usize, 2, 4] {
-            let builder = FrontierBuilder::new(
-                &matrix,
-                FrontierConfig { min_support, threads, ..FrontierConfig::default() },
-            );
-            let got = builder.refine_parents(&parents, allowed);
-            prop_assert_eq!(got.len(), expect.len(), "threads={}", threads);
-            for (i, (p, row, support, ext)) in expect.iter().enumerate() {
-                let m = got.meta(i);
-                prop_assert_eq!(m.parent, *p);
-                prop_assert_eq!(m.row, *row);
-                prop_assert_eq!(m.support, *support);
-                prop_assert_eq!(&got.child_bitset(i), ext, "threads={}", threads);
-            }
-            // Count-first vs the single-pass (PR 4) builder, bit for bit.
-            let single = builder.refine_parents_single_pass(&parents, allowed);
-            prop_assert_eq!(got.len(), single.len(), "threads={}", threads);
-            for i in 0..single.len() {
-                prop_assert_eq!(got.meta(i), single.meta(i), "threads={}", threads);
-                prop_assert_eq!(got.child_words(i), single.child_words(i), "threads={}", threads);
+        for shards in SHARD_COUNTS {
+            let matrix =
+                MaskMatrix::from_bitsets_sharded(ShardPlan::new(n, shards), masks.iter().cloned());
+            for threads in THREAD_COUNTS {
+                let builder = FrontierBuilder::new(
+                    &matrix,
+                    FrontierConfig { min_support, threads, ..FrontierConfig::default() },
+                );
+                let got = builder.refine_parents(&parents, allowed);
+                let label = format!("shards={shards} threads={threads}");
+                check_against_reference(&got, &expect, |_, _, _| true, &label)?;
             }
         }
     }
 
     /// `refine_with_prune` — the count-first path with a serial keep
     /// predicate between counting and materialization — emits exactly the
-    /// single-pass builder's children post-filtered by the same predicate,
-    /// at every thread count. Exercised with a stateful first-wins dedup
-    /// predicate (the beam's use) and a support-threshold predicate shaped
-    /// like branch-and-bound's optimistic bound.
+    /// single-pass per-candidate reference's children post-filtered by the
+    /// same predicate, at every shard × thread count. Exercised with a
+    /// stateful first-wins dedup predicate (the beam's use) and a
+    /// support-threshold predicate shaped like branch-and-bound's
+    /// optimistic bound.
     #[test]
     fn refine_with_prune_matches_filtered_single_pass(seed in 0u64..10_000) {
         let mut rng = Xoshiro256pp::seed_from_u64(seed ^ 0x0694_6d1f_13b7_a55b);
@@ -135,14 +171,18 @@ proptest! {
         let rows = 1 + (seed as usize) % 45;
         let min_support = (seed as usize) % 3;
         let masks: Vec<BitSet> = (0..rows).map(|_| random_mask(&mut rng, n, 0.45)).collect();
-        let matrix = MaskMatrix::from_bitsets(n, masks.iter().cloned());
         let parent_sets: Vec<BitSet> =
             (0..4).map(|_| random_mask(&mut rng, n, 0.75)).collect();
+        let parents_ref: Vec<(&BitSet, usize)> = parent_sets
+            .iter()
+            .map(|ext| (ext, ext.count().saturating_sub(1)))
+            .collect();
         let parents: Vec<ParentSpec<'_>> = parent_sets
             .iter()
             .map(|ext| ParentSpec { ext, max_support: ext.count().saturating_sub(1) })
             .collect();
         let allowed = |p: usize, row: usize| !(p + row * 2 + seed as usize).is_multiple_of(7);
+        let expect = reference_refine(&masks, &parents_ref, allowed, min_support);
 
         // A stateful dedup predicate (support-keyed, first wins) and a
         // stateless bound-style predicate (keep only supports above a
@@ -150,42 +190,34 @@ proptest! {
         // bound against an incumbent).
         let bound_floor = 1 + (seed as usize) % 8;
 
-        for threads in [1usize, 2, 4] {
-            let builder = FrontierBuilder::new(
-                &matrix,
-                FrontierConfig { min_support, threads, ..FrontierConfig::default() },
-            );
-            let single = builder.refine_parents_single_pass(&parents, allowed);
+        for shards in SHARD_COUNTS {
+            let matrix =
+                MaskMatrix::from_bitsets_sharded(ShardPlan::new(n, shards), masks.iter().cloned());
+            for threads in THREAD_COUNTS {
+                let builder = FrontierBuilder::new(
+                    &matrix,
+                    FrontierConfig { min_support, threads, ..FrontierConfig::default() },
+                );
 
-            // Case 1: first-wins dedup on support values.
-            let mut seen: HashSet<usize> = HashSet::new();
-            let got = builder.refine_with_prune(&parents, allowed, |_, _, support| {
-                seen.insert(support)
-            });
-            let mut seen_ref: HashSet<usize> = HashSet::new();
-            let expect: Vec<usize> = (0..single.len())
-                .filter(|&i| seen_ref.insert(single.meta(i).support))
-                .collect();
-            prop_assert_eq!(got.len(), expect.len(), "dedup threads={}", threads);
-            for (k, &i) in expect.iter().enumerate() {
-                prop_assert_eq!(got.meta(k), single.meta(i), "dedup threads={}", threads);
-                prop_assert_eq!(got.child_words(k), single.child_words(i));
-            }
+                // Case 1: first-wins dedup on support values.
+                let mut seen: HashSet<usize> = HashSet::new();
+                let got = builder.refine_with_prune(&parents, allowed, |_, _, support| {
+                    seen.insert(support)
+                });
+                let mut seen_ref: HashSet<usize> = HashSet::new();
+                let label = format!("dedup shards={shards} threads={threads}");
+                check_against_reference(
+                    &got,
+                    &expect,
+                    |_, _, support| seen_ref.insert(support),
+                    &label,
+                )?;
 
-            // Case 2: bound-style support-threshold predicate.
-            let got = builder.refine_with_prune(&parents, allowed, |p, _, support| {
-                support >= bound_floor + p
-            });
-            let expect: Vec<usize> = (0..single.len())
-                .filter(|&i| {
-                    let m = single.meta(i);
-                    m.support >= bound_floor + m.parent
-                })
-                .collect();
-            prop_assert_eq!(got.len(), expect.len(), "bound threads={}", threads);
-            for (k, &i) in expect.iter().enumerate() {
-                prop_assert_eq!(got.meta(k), single.meta(i), "bound threads={}", threads);
-                prop_assert_eq!(got.child_words(k), single.child_words(i));
+                // Case 2: bound-style support-threshold predicate.
+                let bound = |p: usize, _: usize, support: usize| support >= bound_floor + p;
+                let got = builder.refine_with_prune(&parents, allowed, bound);
+                let label = format!("bound shards={shards} threads={threads}");
+                check_against_reference(&got, &expect, bound, &label)?;
             }
         }
     }
@@ -203,7 +235,7 @@ proptest! {
         let np = 1 + (seed as usize / 24) % 9;
         let masks: Vec<BitSet> = (0..rows).map(|_| random_mask(&mut rng, n, 0.4)).collect();
         let matrix = MaskMatrix::from_bitsets(n, masks.iter().cloned());
-        let block = matrix.block_words(0, rows);
+        let block = matrix.block_words(0, 0, rows);
         let parent_sets: Vec<BitSet> =
             (0..np).map(|_| random_mask(&mut rng, n, 0.6)).collect();
         let parents: Vec<&[u64]> = parent_sets.iter().map(|p| p.words()).collect();
@@ -351,15 +383,22 @@ proptest! {
                         );
                     }
                 }
-                let builder = FrontierBuilder::new(
-                    &matrix,
-                    FrontierConfig { min_support: 2, threads, pool, ..FrontierConfig::default() },
-                );
-                let got = builder.refine_with_prune(&parents, |_, _| true, |_, _, s| s % 5 != 0);
-                prop_assert_eq!(got.len(), expect.len(), "threads={}", threads);
-                for i in 0..expect.len() {
-                    prop_assert_eq!(got.meta(i), expect.meta(i), "threads={}", threads);
-                    prop_assert_eq!(got.child_words(i), expect.child_words(i), "threads={}", threads);
+                for shards in [1usize, 3, 7] {
+                    let matrix = MaskMatrix::from_bitsets_sharded(
+                        ShardPlan::new(n, shards),
+                        masks.iter().cloned(),
+                    );
+                    let builder = FrontierBuilder::new(
+                        &matrix,
+                        FrontierConfig { min_support: 2, threads, pool, ..FrontierConfig::default() },
+                    );
+                    let got =
+                        builder.refine_with_prune(&parents, |_, _| true, |_, _, s| s % 5 != 0);
+                    prop_assert_eq!(got.len(), expect.len(), "threads={} shards={}", threads, shards);
+                    for i in 0..expect.len() {
+                        prop_assert_eq!(got.meta(i), expect.meta(i), "threads={}", threads);
+                        prop_assert_eq!(got.child_words(i), expect.child_words(i), "threads={}", threads);
+                    }
                 }
             }
         }

@@ -8,8 +8,8 @@ use sisd::data::{BitSet, Column, Dataset};
 use sisd::linalg::Matrix;
 use sisd::model::{BackgroundModel, ModelError};
 use sisd::search::{
-    generate_conditions, BeamConfig, BeamSearch, EvalConfig, Miner, MinerConfig, RefineConfig,
-    SphereConfig,
+    branch_bound_search, generate_conditions, BeamConfig, BeamSearch, BranchBoundConfig,
+    EvalConfig, Miner, MinerConfig, RefineConfig, SphereConfig,
 };
 
 fn tiny_config() -> MinerConfig {
@@ -275,6 +275,44 @@ fn nan_target_row_degrades_the_search_instead_of_ranking_nan() {
         for w in result.top.windows(2) {
             assert!(w[0].score.si >= w[1].score.si);
         }
+    }
+}
+
+/// A NaN target row must not panic branch-and-bound's optimistic bound
+/// (its sort of the covered targets used to). The bound drops non-finite
+/// values, so it stays admissible for every subset that can score
+/// finitely; a subset covering the NaN row is a numeric failure, never
+/// the optimum.
+#[test]
+fn nan_target_row_does_not_panic_branch_and_bound() {
+    let n = 120;
+    let clean = mixed_dataset(
+        n,
+        Matrix::from_vec(n, 1, (0..n).map(|i| (i as f64 * 0.37).sin()).collect()),
+    );
+    let model = BackgroundModel::from_empirical(&clean).unwrap();
+    let mut targets = clean.targets().clone();
+    targets[(17, 0)] = f64::NAN;
+    let dirty = mixed_dataset(n, targets);
+    for threads in [1usize, 3] {
+        let result = branch_bound_search(
+            &dirty,
+            &model,
+            BranchBoundConfig {
+                max_depth: 2,
+                min_coverage: 3,
+                eval: EvalConfig::with_threads(threads),
+                ..BranchBoundConfig::default()
+            },
+        );
+        assert!(result.evaluated > 0, "threads={threads}");
+        let best = result.best.as_ref().expect("NaN-free subsets still score");
+        assert!(best.score.si.is_finite() && best.score.ic.is_finite());
+        assert!(best.observed_mean.iter().all(|m| m.is_finite()));
+        assert!(
+            !best.extension.contains(17),
+            "the optimum covers the NaN row"
+        );
     }
 }
 

@@ -1,22 +1,23 @@
 //! Shard parity: every sharded path must be **bit-identical** to the
 //! unsharded one. For random datasets and S ∈ {1, 2, 3, 7}: sharded mask
 //! construction merges to exactly the whole-dataset masks, sharded
-//! frontier refinement emits exactly the unsharded `ChildBatch`, and full
-//! beam / binary-beam / branch-and-bound searches return bit-identical
-//! results at 1 and 4 threads. Plus shard-plan edge cases (empty shards,
+//! frontier refinement emits exactly the per-candidate reference's
+//! children on both of its routes, and full beam / binary-beam /
+//! branch-and-bound searches return bit-identical results at 1 and 4
+//! threads. Plus shard-plan edge cases (empty shards,
 //! S > rows, non-multiple-of-64 row counts) and the
 //! `concat_words`/`words`/`from_words` round-trip regression.
 
 use proptest::prelude::*;
 use sisd::core::Condition;
 use sisd::data::shard::{shard_members, ShardPlan};
-use sisd::data::{BitSet, Column, Dataset, ShardedDataset};
+use sisd::data::{BitSet, Column, Dataset};
 use sisd::frontier::{
-    FrontierBuilder, FrontierConfig, MaskMatrix, MaskStore, ParentSpec, ShardedFrontierBuilder,
-    ShardedMaskMatrix,
+    ChildBatch, ChildMeta, FrontierBuilder, FrontierConfig, MaskMatrix, ParentSpec,
 };
 use sisd::linalg::Matrix;
 use sisd::model::{BackgroundModel, BinaryBackgroundModel};
+use sisd::obs::{Metric, NullSink, Obs};
 use sisd::search::{
     binary_beam_search, branch_bound_search, generate_conditions, BeamConfig, BeamSearch,
     BranchBoundConfig, EvalConfig, RefineConfig,
@@ -74,20 +75,53 @@ fn random_binary_dataset(seed: u64, n: usize) -> Dataset {
     )
 }
 
-/// Slices whole-dataset masks into per-shard matrices.
-fn shard_matrices(masks: &[BitSet], plan: &ShardPlan) -> Vec<MaskMatrix> {
-    (0..plan.shards())
-        .map(|s| {
-            MaskMatrix::from_bitsets(plan.shard_len(s), masks.iter().map(|m| m.shard(plan, s)))
-        })
-        .collect()
+/// The per-candidate reference refinement (the formula of
+/// `tests/frontier_parity.rs`'s `reference_refine`): one `BitSet::and` +
+/// `count` per allowed pair, the same support filters, nested-loop order.
+fn reference_refine(
+    masks: &[BitSet],
+    parents: &[ParentSpec<'_>],
+    allowed: impl Fn(usize, usize) -> bool,
+    min_support: usize,
+) -> Vec<(ChildMeta, BitSet)> {
+    let mut out = Vec::new();
+    for (parent, spec) in parents.iter().enumerate() {
+        for (row, mask) in masks.iter().enumerate() {
+            if !allowed(parent, row) {
+                continue;
+            }
+            let child = spec.ext.and(mask);
+            let support = child.count();
+            if support >= min_support && support <= spec.max_support {
+                out.push((
+                    ChildMeta {
+                        parent,
+                        row,
+                        support,
+                    },
+                    child,
+                ));
+            }
+        }
+    }
+    out
+}
+
+/// Asserts `got` holds exactly the `expect` children, in order.
+fn assert_children(got: &ChildBatch, expect: &[&(ChildMeta, BitSet)], label: &str) {
+    assert_eq!(got.len(), expect.len(), "{label}");
+    for (i, (meta, ext)) in expect.iter().enumerate() {
+        assert_eq!(got.meta(i), *meta, "{label}");
+        assert_eq!(got.child_words(i), ext.words(), "{label} child {i}");
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Sharded mask construction — per-shard condition evaluation over
-    /// `ShardedDataset` views — merges to exactly the unsharded matrix.
+    /// Sharded mask construction — each condition's mask dealt to the
+    /// shards' arenas — holds exactly each shard's slice of the
+    /// condition's mask and merges to exactly the unsharded matrix.
     #[test]
     fn sharded_mask_construction_matches_unsharded(seed in 0u64..10_000) {
         let n = 20 + (seed as usize * 17) % 300;
@@ -95,21 +129,26 @@ proptest! {
         let conditions: Vec<Condition> = generate_conditions(&data, &RefineConfig::default());
         let dense = MaskMatrix::evaluate(&data, &conditions);
         for s in SHARD_COUNTS {
-            let sharded = ShardedMaskMatrix::evaluate(&ShardedDataset::new(&data, s), &conditions);
+            let sharded = MaskMatrix::evaluate_sharded(&data, &conditions, s);
+            let plan = ShardPlan::new(n, s);
+            prop_assert_eq!(sharded.plan(), &plan);
             prop_assert_eq!(sharded.rows(), dense.rows());
             prop_assert_eq!(sharded.n(), dense.n());
-            for j in 0..dense.rows() {
+            for (j, c) in conditions.iter().enumerate() {
+                let mask = c.evaluate(&data);
                 prop_assert_eq!(sharded.row_bitset(j), dense.row_bitset(j), "s={} row {}", s, j);
                 prop_assert_eq!(sharded.row_count(j), dense.row_count(j));
+                for k in 0..s {
+                    prop_assert_eq!(sharded.row_words(k, j), &mask.words()[plan.word_range(k)]);
+                }
             }
         }
     }
 
     /// Sharded count-first frontier refinement — per-shard count-only
     /// kernels, filters on shard-summed totals, survivors materialized in
-    /// shard order — emits the unsharded `ChildBatch` bit for bit, at 1
-    /// and 4 threads and every shard count; and both layouts' count-first
-    /// output equals their single-pass (PR 4) reference.
+    /// shard order — emits the per-candidate reference's children bit for
+    /// bit, at 1, 2 and 4 threads and every shard count.
     #[test]
     fn sharded_frontier_matches_unsharded(seed in 0u64..10_000) {
         let mut rng = Xoshiro256pp::seed_from_u64(seed ^ 0x5851_f42d_4c95_7f2d);
@@ -117,59 +156,31 @@ proptest! {
         let rows = 1 + (seed as usize) % 40;
         let min_support = (seed as usize) % 4;
         let masks: Vec<BitSet> = (0..rows).map(|_| random_mask(&mut rng, n, 0.4)).collect();
-        let dense = MaskMatrix::from_bitsets(n, masks.iter().cloned());
         let parent_sets: Vec<BitSet> = (0..4).map(|_| random_mask(&mut rng, n, 0.7)).collect();
         let parents: Vec<ParentSpec<'_>> = parent_sets
             .iter()
             .map(|ext| ParentSpec { ext, max_support: ext.count().saturating_sub(1) })
             .collect();
         let allowed = |p: usize, row: usize| !(p * 5 + row + seed as usize).is_multiple_of(4);
-        let dense_builder = FrontierBuilder::new(
-            &dense,
-            FrontierConfig { min_support, threads: 1, ..FrontierConfig::default() },
-        );
-        let expect = dense_builder.refine_parents_single_pass(&parents, allowed);
-        // Unsharded count-first vs unsharded single-pass.
-        let dense_cf = dense_builder.refine_parents(&parents, allowed);
-        prop_assert_eq!(dense_cf.len(), expect.len());
-        for i in 0..expect.len() {
-            prop_assert_eq!(dense_cf.meta(i), expect.meta(i));
-            prop_assert_eq!(dense_cf.child_words(i), expect.child_words(i));
-        }
+        let reference = reference_refine(&masks, &parents, allowed, min_support);
+        let expect: Vec<_> = reference.iter().collect();
         for s in SHARD_COUNTS {
-            let plan = ShardPlan::new(n, s);
-            let sharded = ShardedMaskMatrix::from_parts(plan.clone(), shard_matrices(&masks, &plan));
-            for threads in [1usize, 4] {
-                let builder = ShardedFrontierBuilder::new(
-                    &sharded,
+            let matrix = MaskMatrix::from_bitsets_sharded(ShardPlan::new(n, s), masks.clone());
+            for threads in [1usize, 2, 4] {
+                let got = FrontierBuilder::new(
+                    &matrix,
                     FrontierConfig { min_support, threads, ..FrontierConfig::default() },
-                );
-                let got = builder.refine_parents(&parents, allowed);
-                prop_assert_eq!(got.len(), expect.len(), "s={} t={}", s, threads);
-                for i in 0..expect.len() {
-                    prop_assert_eq!(got.meta(i), expect.meta(i), "s={} t={}", s, threads);
-                    prop_assert_eq!(
-                        got.child_words(i),
-                        expect.child_words(i),
-                        "s={} t={} child {}", s, threads, i
-                    );
-                }
-                // The sharded single-pass (PR 4) reference agrees too.
-                let single = builder.refine_parents_single_pass(&parents, allowed);
-                prop_assert_eq!(single.len(), expect.len(), "s={} t={}", s, threads);
-                for i in 0..expect.len() {
-                    prop_assert_eq!(single.meta(i), expect.meta(i), "s={} t={}", s, threads);
-                    prop_assert_eq!(single.child_words(i), expect.child_words(i));
-                }
+                )
+                .refine_parents(&parents, allowed);
+                assert_children(&got, &expect, &format!("s={s} t={threads}"));
             }
         }
     }
 
     /// Count-first refinement with a keep predicate — first-wins dedup
-    /// state and a branch-and-bound-shaped support bound — is bit-identical
-    /// between the sharded and unsharded layouts at every shard × thread
-    /// combination, and equals the single-pass output post-filtered by the
-    /// same predicate.
+    /// state and a branch-and-bound-shaped support bound — equals the
+    /// per-candidate reference post-filtered by the same predicate at
+    /// every shard × thread combination.
     #[test]
     fn sharded_refine_with_prune_matches_unsharded(seed in 0u64..10_000) {
         let mut rng = Xoshiro256pp::seed_from_u64(seed ^ 0x1234_5678_9abc_def0);
@@ -178,7 +189,6 @@ proptest! {
         let min_support = (seed as usize) % 3;
         let bound_floor = 1 + (seed as usize) % 6;
         let masks: Vec<BitSet> = (0..rows).map(|_| random_mask(&mut rng, n, 0.4)).collect();
-        let dense = MaskMatrix::from_bitsets(n, masks.iter().cloned());
         let parent_sets: Vec<BitSet> = (0..3).map(|_| random_mask(&mut rng, n, 0.7)).collect();
         let parents: Vec<ParentSpec<'_>> = parent_sets
             .iter()
@@ -188,37 +198,24 @@ proptest! {
         // The keep predicate combines both production shapes: a bound
         // check on the global support (monotone, like B&B's optimistic
         // bound against the incumbent) and stateful first-wins dedup.
-        let config = FrontierConfig { min_support, threads: 1, ..FrontierConfig::default() };
-        let single = FrontierBuilder::new(&dense, config)
-            .refine_parents_single_pass(&parents, allowed);
+        let reference = reference_refine(&masks, &parents, allowed, min_support);
         let mut seen_ref: std::collections::HashSet<(usize, usize)> = Default::default();
-        let expect: Vec<usize> = (0..single.len())
-            .filter(|&i| {
-                let m = single.meta(i);
-                m.support >= bound_floor && seen_ref.insert((m.row, m.support))
-            })
+        let expect: Vec<_> = reference
+            .iter()
+            .filter(|(m, _)| m.support >= bound_floor && seen_ref.insert((m.row, m.support)))
             .collect();
         for s in SHARD_COUNTS {
-            let plan = ShardPlan::new(n, s);
-            let sharded = ShardedMaskMatrix::from_parts(plan.clone(), shard_matrices(&masks, &plan));
-            for threads in [1usize, 4] {
+            let matrix = MaskMatrix::from_bitsets_sharded(ShardPlan::new(n, s), masks.clone());
+            for threads in [1usize, 2, 4] {
                 let mut seen: std::collections::HashSet<(usize, usize)> = Default::default();
-                let got = ShardedFrontierBuilder::new(
-                    &sharded,
+                let got = FrontierBuilder::new(
+                    &matrix,
                     FrontierConfig { min_support, threads, ..FrontierConfig::default() },
                 )
                 .refine_with_prune(&parents, allowed, |_, row, support| {
                     support >= bound_floor && seen.insert((row, support))
                 });
-                prop_assert_eq!(got.len(), expect.len(), "s={} t={}", s, threads);
-                for (k, &i) in expect.iter().enumerate() {
-                    prop_assert_eq!(got.meta(k), single.meta(i), "s={} t={}", s, threads);
-                    prop_assert_eq!(
-                        got.child_words(k),
-                        single.child_words(i),
-                        "s={} t={} child {}", s, threads, k
-                    );
-                }
+                assert_children(&got, &expect, &format!("s={s} t={threads}"));
             }
         }
     }
@@ -420,9 +417,9 @@ fn mask_store_handles_non_multiple_of_64_rows() {
     // the partial word without disturbing parity.
     let data = random_dataset(11, 130, 2);
     let conditions = generate_conditions(&data, &RefineConfig::default());
-    let dense = MaskStore::evaluate(&data, &conditions, 1);
-    let sharded = MaskStore::evaluate(&data, &conditions, 3);
-    assert_eq!(sharded.shards(), 3);
+    let dense = MaskMatrix::evaluate(&data, &conditions);
+    let sharded = MaskMatrix::evaluate_sharded(&data, &conditions, 3);
+    assert_eq!(sharded.plan().shards(), 3);
     assert_eq!(dense.rows(), sharded.rows());
     let full = BitSet::full(130);
     let parents = [ParentSpec {
@@ -434,11 +431,53 @@ fn mask_store_handles_non_multiple_of_64_rows() {
         threads: 1,
         ..FrontierConfig::default()
     };
-    let a = dense.refine_parents(cfg, &parents, |_, _| true);
-    let b = sharded.refine_parents(cfg, &parents, |_, _| true);
+    let a = FrontierBuilder::new(&dense, cfg).refine_parents(&parents, |_, _| true);
+    let b = FrontierBuilder::new(&sharded, cfg).refine_parents(&parents, |_, _| true);
     assert_eq!(a.len(), b.len());
     for i in 0..a.len() {
         assert_eq!(a.meta(i), b.meta(i));
         assert_eq!(a.child_words(i), b.child_words(i));
+    }
+}
+
+/// Serial multi-parent refinement over a matrix above the grid threshold
+/// (1,024 words × 130 rows > 2^17 words) takes the two-pass route at every
+/// shard count and still emits the per-candidate reference's children.
+#[test]
+fn serial_grid_route_matches_reference_at_every_shard_count() {
+    let n = 65_536;
+    let mut rng = Xoshiro256pp::seed_from_u64(2018);
+    let masks: Vec<BitSet> = (0..130).map(|_| random_mask(&mut rng, n, 0.5)).collect();
+    // Nine parents: one full PARENT_TILE of eight plus a ragged tile.
+    let parent_sets: Vec<BitSet> = (0..9).map(|_| random_mask(&mut rng, n, 0.25)).collect();
+    let parents: Vec<ParentSpec<'_>> = parent_sets
+        .iter()
+        .map(|ext| ParentSpec {
+            ext,
+            max_support: ext.count().saturating_sub(1),
+        })
+        .collect();
+    let allowed = |p: usize, row: usize| !(p + row).is_multiple_of(3);
+    let min_support = n / 8;
+    let reference = reference_refine(&masks, &parents, allowed, min_support);
+    let expect: Vec<_> = reference.iter().collect();
+    assert!(!expect.is_empty());
+    for s in SHARD_COUNTS {
+        let matrix = MaskMatrix::from_bitsets_sharded(ShardPlan::new(n, s), masks.clone());
+        let obs = Obs::leaked(Box::new(NullSink));
+        let got = FrontierBuilder::new(
+            &matrix,
+            FrontierConfig {
+                min_support,
+                threads: 1,
+                obs,
+                ..FrontierConfig::default()
+            },
+        )
+        .refine_parents(&parents, allowed);
+        let report = obs.report().expect("obs enabled");
+        assert_eq!(report.get(Metric::FrontierGridDispatch), 1, "s={s}");
+        assert_eq!(report.get(Metric::FrontierFusedDispatch), 0, "s={s}");
+        assert_children(&got, &expect, &format!("s={s}"));
     }
 }
