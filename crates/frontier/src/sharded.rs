@@ -272,4 +272,34 @@ mod tests {
             }
         }
     }
+
+    #[test]
+    fn mask_store_dispatch_is_layout_invariant() {
+        let mut rng = Xoshiro256pp::seed_from_u64(99);
+        let masks: Vec<BitSet> = (0..24).map(|_| random_mask(&mut rng, 200, 0.4)).collect();
+        let parent_sets: Vec<BitSet> = (0..4).map(|_| random_mask(&mut rng, 200, 0.6)).collect();
+        let parents: Vec<ParentSpec<'_>> = parent_sets
+            .iter()
+            .map(|ext| ParentSpec {
+                ext,
+                max_support: 200,
+            })
+            .collect();
+        let config = FrontierConfig {
+            min_support: 1,
+            threads: 2,
+            ..FrontierConfig::default()
+        };
+        let dense = MaskMatrix::from_bitsets(200, masks.iter().cloned());
+        assert_eq!(dense.plan().shards(), 1);
+        let expect = FrontierBuilder::new(&dense, config).refine_parents(&parents, |_, _| true);
+        let sharded = MaskMatrix::from_bitsets_sharded(ShardPlan::new(200, 3), masks);
+        assert_eq!(sharded.plan().shards(), 3);
+        let got = FrontierBuilder::new(&sharded, config).refine_parents(&parents, |_, _| true);
+        assert_eq!(got.len(), expect.len());
+        for i in 0..expect.len() {
+            assert_eq!(got.meta(i), expect.meta(i));
+            assert_eq!(got.child_words(i), expect.child_words(i));
+        }
+    }
 }
