@@ -8,9 +8,6 @@
 //! evaluator. `--threads N` (default 4) sets the parallel worker count;
 //! `--shards S` (default 1) runs every search through the row-range
 //! sharded pipeline (results are bit-identical at any setting);
-//! `--executor {inprocess,procpool,socket}` (default `inprocess`) routes
-//! the sharded passes through a `sisd-exec` backend — again bit-identical,
-//! with the executor request/byte/fallback traffic in the final report;
 //! `--trace-out PATH` additionally writes a JSONL trace of every metric
 //! event. All searches report into one metrics registry — the parallel
 //! ones through a *dedicated* (non-global) worker pool, whose utilization
@@ -18,9 +15,8 @@
 //! [`sisd_obs::SearchReport`].
 
 use sisd_bench::{
-    executor_arg, executor_handle, kill_after_iter_arg, obs_from_args, pool_reuse_arg,
-    print_search_report, print_table, resume_arg, section, session_iters_arg, shards_arg,
-    snapshot_out_arg, threads_arg,
+    kill_after_iter_arg, obs_from_args, pool_reuse_arg, print_search_report, print_table,
+    resume_arg, section, session_iters_arg, shards_arg, snapshot_out_arg, threads_arg,
 };
 use sisd_data::datasets::crime_synthetic;
 use sisd_data::snap::crc32;
@@ -79,13 +75,7 @@ struct SessionArgs {
 /// ends with a CRC digest of the full serialized session state, so a
 /// killed-and-resumed session can be diffed bit-for-bit against an
 /// uninterrupted one.
-fn run_session(
-    args: SessionArgs,
-    threads: usize,
-    shards: usize,
-    obs: sisd_obs::ObsHandle,
-    exec: sisd_frontier::ExecHandle,
-) {
+fn run_session(args: SessionArgs, threads: usize, shards: usize, obs: sisd_obs::ObsHandle) {
     let SessionArgs {
         iters,
         snapshot_out,
@@ -101,8 +91,7 @@ fn run_session(
             min_coverage: 10,
             eval: EvalConfig::with_threads(threads)
                 .with_shards(shards)
-                .with_obs(obs)
-                .with_executor(exec),
+                .with_obs(obs),
             ..BeamConfig::default()
         },
         refit_tol: 1e-9,
@@ -179,9 +168,7 @@ fn main() {
     let threads = threads_arg(4);
     let shards = shards_arg(1);
     let reuse = pool_reuse_arg(3);
-    let executor = executor_arg();
     let obs = obs_from_args();
-    let exec = executor_handle(executor, obs);
     if let Some(iters) = session_iters_arg() {
         let args = SessionArgs {
             iters,
@@ -189,7 +176,7 @@ fn main() {
             resume: resume_arg(),
             kill_after: kill_after_iter_arg(),
         };
-        run_session(args, threads, shards, obs, exec);
+        run_session(args, threads, shards, obs);
         return;
     }
     let full = crime_synthetic(2018);
@@ -205,18 +192,14 @@ fn main() {
         max_depth: 2,
         top_k: 50,
         min_coverage: 10,
-        eval: EvalConfig::default()
-            .with_shards(shards)
-            .with_obs(obs)
-            .with_executor(exec),
+        eval: EvalConfig::default().with_shards(shards).with_obs(obs),
         ..BeamConfig::default()
     };
     let cfg_parallel = BeamConfig {
         eval: EvalConfig::with_threads(threads)
             .with_shards(shards)
             .with_pool(pool)
-            .with_obs(obs)
-            .with_executor(exec),
+            .with_obs(obs),
         ..cfg.clone()
     };
 
@@ -226,9 +209,8 @@ fn main() {
     println!(
         "available parallelism: {cores} core(s); dedicated pool workers: {} (grows on \
          demand, capped by --threads); --threads {threads}; --shards {shards}; \
-         --pool-reuse {reuse}; --executor {}",
+         --pool-reuse {reuse}",
         pool.get().workers(),
-        executor.name()
     );
 
     let mut rows = Vec::new();

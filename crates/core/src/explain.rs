@@ -109,6 +109,9 @@ pub fn explain_location(
 ) -> Result<LocationExplanation, ModelError> {
     let marginals = model.location_marginals(ext)?;
     let observed = data.target_mean(ext);
+    if observed.iter().any(|x| !x.is_finite()) {
+        return Err(ModelError::NonFinite);
+    }
     let mut attributes: Vec<AttributeSurprise> = marginals
         .into_iter()
         .enumerate()

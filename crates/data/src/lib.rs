@@ -13,10 +13,7 @@
 //!   word slices, the substrate of the `sisd-frontier` batched refinement
 //!   kernels,
 //! * [`shard`] — word-aligned row-range sharding: [`ShardPlan`] partitions
-//!   the row space so bitset words never straddle shards, and
-//!   [`BitSet::concat_words`] merges shard-local masks back bit-exactly,
-//! * [`wire`] — the length-prefixed frame codec moving shard count/word
-//!   traffic between processes for the `sisd-exec` executor backends,
+//!   the row space so bitset words never straddle shards,
 //! * [`snap`] — the versioned, per-section CRC32-checksummed snapshot
 //!   container (plus crash-safe [`snap::atomic_write`]) that durable
 //!   session state serializes through,
@@ -33,7 +30,6 @@ pub mod kernels;
 pub mod shard;
 pub mod snap;
 pub mod table;
-pub mod wire;
 
 pub use bitset::BitSet;
 pub use column::Column;

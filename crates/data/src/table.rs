@@ -6,7 +6,6 @@
 
 use crate::bitset::{BitSet, WORD_BITS};
 use crate::column::Column;
-use crate::shard::{shard_members, ShardPlan};
 use sisd_linalg::Matrix;
 
 /// A dataset with a description part and a real-valued target part.
@@ -219,22 +218,6 @@ impl Dataset {
         self.target_mean(&BitSet::full(self.n()))
     }
 
-    /// [`Dataset::target_mean`] under a row-range [`ShardPlan`]. A plan's
-    /// shards are contiguous and ascending, so visiting them in order adds
-    /// the rows in exactly the full scan's order: the sharded mean *is*
-    /// `target_mean(ext)`, bit for bit, at any shard count — the
-    /// determinism contract of the sharded evaluation path. (Per-shard
-    /// partial sums combined at the end would *not* be: float addition is
-    /// non-associative.)
-    ///
-    /// # Panics
-    /// Panics when the extension is empty or the plan's row count differs
-    /// from the dataset's.
-    pub fn target_mean_sharded(&self, ext: &BitSet, plan: &ShardPlan) -> Vec<f64> {
-        assert_eq!(plan.n(), self.n(), "target_mean_sharded: plan mismatch");
-        self.target_mean(ext)
-    }
-
     /// Adds the target row of every set bit of `words` to `acc`, in
     /// ascending row order. Each column sees the same additions in the
     /// same order as a per-row `add_assign` loop, so the sums are
@@ -294,36 +277,6 @@ impl Dataset {
         for i in ext.iter() {
             let p = sisd_linalg::dot(self.targets.row(i), w) - proj_mean;
             acc += p * p;
-        }
-        acc / cnt as f64
-    }
-
-    /// [`Dataset::target_variance_along`] aggregated shard by shard, with
-    /// the same in-shard-order fold as [`Dataset::target_mean_sharded`]:
-    /// both passes (mean, then sum of squared projections) visit rows in
-    /// the exact order of the unsharded scan, so the result is
-    /// bit-identical for any shard count.
-    ///
-    /// # Panics
-    /// Panics on an empty extension, a direction of the wrong length, or a
-    /// plan over a different row count.
-    pub fn target_variance_along_sharded(&self, ext: &BitSet, w: &[f64], plan: &ShardPlan) -> f64 {
-        assert_eq!(plan.n(), self.n(), "target_variance_along_sharded: plan");
-        let cnt = ext.count();
-        assert!(cnt > 0, "target_variance_along_sharded: empty extension");
-        assert_eq!(
-            w.len(),
-            self.dy(),
-            "target_variance_along_sharded: bad direction"
-        );
-        let mean = self.target_mean_sharded(ext, plan);
-        let proj_mean = sisd_linalg::dot(&mean, w);
-        let mut acc = 0.0;
-        for s in 0..plan.shards() {
-            for i in shard_members(ext, plan, s) {
-                let p = sisd_linalg::dot(self.targets.row(i), w) - proj_mean;
-                acc += p * p;
-            }
         }
         acc / cnt as f64
     }
@@ -430,43 +383,6 @@ mod tests {
         let direct = d.target_variance_along(&ext, &w);
         let via_scatter = d.target_scatter(&ext).quad_form(&w);
         assert!((direct - via_scatter).abs() < 1e-10);
-    }
-
-    #[test]
-    fn sharded_statistics_are_bit_identical_to_unsharded() {
-        // Irrational-ish values so any reordering of the float additions
-        // would show up in the bits.
-        let n = 150;
-        let targets = Matrix::from_vec(
-            n,
-            2,
-            (0..2 * n)
-                .map(|k| ((k * k) as f64).sqrt().sin() * 1e3)
-                .collect(),
-        );
-        let d = Dataset::new(
-            "s",
-            vec!["x".into()],
-            vec![Column::Numeric((0..n).map(|i| i as f64).collect())],
-            vec!["a".into(), "b".into()],
-            targets,
-        );
-        let ext = BitSet::from_fn(n, |i| i % 3 != 1);
-        let mean = d.target_mean(&ext);
-        let w = vec![0.6, 0.8];
-        let var = d.target_variance_along(&ext, &w);
-        for s in [1usize, 2, 3, 7] {
-            let plan = ShardPlan::new(n, s);
-            let smean = d.target_mean_sharded(&ext, &plan);
-            for (a, b) in smean.iter().zip(&mean) {
-                assert_eq!(a.to_bits(), b.to_bits(), "shards={s}");
-            }
-            assert_eq!(
-                d.target_variance_along_sharded(&ext, &w, &plan).to_bits(),
-                var.to_bits(),
-                "shards={s}"
-            );
-        }
     }
 
     #[test]

@@ -33,9 +33,7 @@
 //! exactly the sequence the serial per-candidate `BitSet::and` loop
 //! produces.
 
-use crate::exec::ExecHandle;
 use crate::matrix::MaskMatrix;
-use crate::sharded::ExecPasses;
 use sisd_data::{kernels, BitSet};
 use sisd_obs::{Metric, ObsHandle};
 use sisd_par::PoolHandle;
@@ -56,12 +54,6 @@ pub struct FrontierConfig {
     /// Observability handle refinement counters and spans report into.
     /// Disabled by default; never changes refinement output.
     pub obs: ObsHandle,
-    /// Shard executor the two-pass route over a *sharded* matrix
-    /// dispatches its count and materialize passes through. Disabled by
-    /// default (local kernels); single-shard matrices never use it. Never
-    /// changes refinement output — executor failures fall back to the
-    /// local kernels per request (see [`crate::exec`]).
-    pub exec: ExecHandle,
 }
 
 impl Default for FrontierConfig {
@@ -71,7 +63,6 @@ impl Default for FrontierConfig {
             threads: 1,
             pool: PoolHandle::global(),
             obs: ObsHandle::disabled(),
-            exec: ExecHandle::disabled(),
         }
     }
 }
@@ -206,7 +197,7 @@ const MIN_WORDS_PER_WORKER: usize = 1 << 15;
 /// filter rejected. Impossible as a real support (`≤ n`), so the serial
 /// filter distinguishes "skipped" from "counted" without consulting
 /// `allowed` a second time.
-pub(crate) const SKIPPED: usize = usize::MAX;
+const SKIPPED: usize = usize::MAX;
 
 /// Adds one later shard's counts into running totals. `allowed` is
 /// shard-independent, so a total still holding [`SKIPPED`] (left there by
@@ -417,24 +408,10 @@ impl<'m> FrontierBuilder<'m> {
         }
         obs.incr(Metric::FrontierGridDispatch);
 
-        // An attached executor serves the passes of a sharded matrix; each
-        // non-empty shard's arena is offered to it once per call (backends
-        // deduplicate), and a failed load demotes that shard to the local
-        // kernels for the whole call.
-        let exec = self
-            .config
-            .exec
-            .get()
-            .filter(|_| shards > 1)
-            .map(|exec| ExecPasses::load(exec, self.matrix, obs));
-
         // Pass 1 — count-only: per-(parent, row) totals, SKIPPED where
         // `allowed` rejects.
         let count_span = obs.span(Metric::FrontierCountNs);
-        let counts = match &exec {
-            Some(exec) => exec.count(parents, &allowed),
-            None => self.count_grid(parents, &allowed, workers),
-        };
+        let counts = self.count_grid(parents, &allowed, workers);
         drop(count_span);
 
         // Serial filter in (parent, row) order: support floor/ceiling on
@@ -451,17 +428,14 @@ impl<'m> FrontierBuilder<'m> {
         // over disjoint slices stay bit-identical).
         let materialize_span = obs.span(Metric::FrontierMaterializeNs);
         let mut words = vec![0u64; meta.len() * stride];
-        match &exec {
-            Some(exec) => exec.materialize(parents, &meta, &mut words),
-            None => materialize_survivors(
-                self.config.pool,
-                self.config.threads,
-                stride,
-                &meta,
-                &mut words,
-                |m, out| self.write_child(parents[m.parent].ext.words(), m.row, out),
-            ),
-        }
+        materialize_survivors(
+            self.config.pool,
+            self.config.threads,
+            stride,
+            &meta,
+            &mut words,
+            |m, out| self.write_child(parents[m.parent].ext.words(), m.row, out),
+        );
         drop(materialize_span);
         ChildBatch::from_parts(n, stride, meta, words)
     }

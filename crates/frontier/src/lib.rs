@@ -35,9 +35,7 @@
 //!   ([`ChildBatch::child_bitset`]). The builder has two routes: on the
 //!   calling thread over a cache-sized matrix the passes fuse per row
 //!   block; otherwise they run over `(parent tile, row block, shard)`
-//!   work items on the worker pool, merged in item order. An attached
-//!   [`ShardExecutor`] may serve the second route's count and materialize
-//!   passes over a sharded matrix.
+//!   work items on the worker pool, merged in item order.
 //!
 //! # Determinism contract
 //!
@@ -52,10 +50,9 @@
 //! contract one layer up.
 
 pub mod builder;
-pub mod exec;
 pub mod matrix;
+#[cfg(test)]
 mod sharded;
 
 pub use builder::{ChildBatch, ChildMeta, FrontierBuilder, FrontierConfig, ParentSpec};
-pub use exec::{ExecHandle, ShardExecutor};
 pub use matrix::MaskMatrix;

@@ -9,7 +9,7 @@
 //!
 //! The matrix is split by a word-aligned [`ShardPlan`] into one arena per
 //! row-range shard: shard `s`'s arena holds every condition's mask
-//! restricted to `plan.row_range(s)`. The unsharded layout is the
+//! restricted to `plan.word_range(s)`. The unsharded layout is the
 //! single-shard plan, whose one arena is the whole dense matrix.
 //! Concatenating row `j` across shards in shard order reproduces the
 //! unsharded mask of condition `j` bit for bit (the plan's word
@@ -18,13 +18,6 @@
 
 use sisd_core::Condition;
 use sisd_data::{BitSet, Dataset, ShardPlan};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Process-unique ids for [`MaskMatrix`] instances, so executor backends
-/// can cache loaded shards per matrix (clones share the id — matrices are
-/// immutable after construction, so a shared id always names identical
-/// bits).
-static NEXT_MATRIX_ID: AtomicU64 = AtomicU64::new(1);
 
 /// A `rows × n` bit-matrix: row `j` is the extension (row mask) of
 /// condition `j`, packed 64 columns per word, one arena per shard.
@@ -40,7 +33,6 @@ pub struct MaskMatrix {
     plan: ShardPlan,
     arenas: Vec<Vec<u64>>,
     rows: usize,
-    matrix_id: u64,
 }
 
 impl MaskMatrix {
@@ -89,12 +81,7 @@ impl MaskMatrix {
             }
             rows += 1;
         }
-        Self {
-            plan,
-            arenas,
-            rows,
-            matrix_id: NEXT_MATRIX_ID.fetch_add(1, Ordering::Relaxed),
-        }
+        Self { plan, arenas, rows }
     }
 
     /// Number of dataset rows each mask ranges over.
@@ -119,12 +106,6 @@ impl MaskMatrix {
     #[inline]
     pub fn plan(&self) -> &ShardPlan {
         &self.plan
-    }
-
-    /// Process-unique id executor backends key their shard caches by.
-    #[inline]
-    pub fn matrix_id(&self) -> u64 {
-        self.matrix_id
     }
 
     /// The words of row `j` in shard `s`.

@@ -592,22 +592,15 @@ impl BackgroundModel {
     /// `refine(ext)` the count is either 0 or the full cell size, but
     /// statistics queries run on arbitrary candidate extensions.
     pub fn cell_counts(&self, ext: &BitSet) -> Vec<(usize, usize)> {
-        self.cell_counts_with(|cell| sisd_data::kernels::and_count(cell, ext.words()))
+        self.cell_counts_words(ext.words())
     }
 
-    /// The cell-count signature with each cell's intersection count
-    /// supplied by the caller, given the cell's words: the form for an
-    /// extension held as bare words (e.g. a child scored in place in a
-    /// frontier arena), and the seam for a sharded engine, which sums
-    /// exact per-shard word-slice counts (locally or through a shard
-    /// executor) and so gets the identical signature for any shard count.
-    pub fn cell_counts_with<F>(&self, mut count: F) -> Vec<(usize, usize)>
-    where
-        F: FnMut(&[u64]) -> usize,
-    {
+    /// The cell-count signature of an extension held as bare words (e.g. a
+    /// child scored in place in a frontier arena).
+    pub fn cell_counts_words(&self, words: &[u64]) -> Vec<(usize, usize)> {
         let mut out = Vec::new();
         for (idx, cell) in self.cells.iter().enumerate() {
-            let c = count(cell.ext.words());
+            let c = sisd_data::kernels::and_count(cell.ext.words(), words);
             if c > 0 {
                 out.push((idx, c));
             }

@@ -215,7 +215,6 @@ impl<'a> Searcher<'a> {
             threads: self.cfg.eval.threads,
             pool: self.cfg.eval.pool,
             obs: self.cfg.eval.obs,
-            exec: self.cfg.eval.exec,
         };
         // A child covering as many rows as its (non-root) parent is the
         // same extension with a strictly longer description: dominated,

@@ -33,10 +33,8 @@ use sisd_core::{
     location_ic_of_stats, spread_si, Condition, ConditionOp, Intention, LocationPattern,
     LocationScore, SisdResult, SpreadScore,
 };
-use sisd_data::{kernels, BitSet, Dataset, ShardPlan};
-use sisd_frontier::{
-    ChildBatch, ExecHandle, FrontierBuilder, FrontierConfig, MaskMatrix, ParentSpec,
-};
+use sisd_data::{BitSet, Dataset};
+use sisd_frontier::{ChildBatch, FrontierBuilder, FrontierConfig, MaskMatrix, ParentSpec};
 use sisd_model::{BackgroundModel, BinaryBackgroundModel, FactorCache, ModelError};
 use sisd_obs::{Metric, ObsHandle};
 use sisd_par::PoolHandle;
@@ -53,11 +51,11 @@ pub struct EvalConfig {
     /// Worker threads for batch candidate evaluation. `1` keeps scoring on
     /// the calling thread; results are identical either way.
     pub threads: usize,
-    /// Row-range shards for mask construction, frontier refinement, and
-    /// statistics aggregation. `1` keeps the whole-dataset layout; any
-    /// `S > 1` runs the pipeline per word-aligned shard and merges in
-    /// shard order, with results **bit-identical** to the unsharded path
-    /// at any shard count.
+    /// Row-range shards for mask construction and frontier refinement.
+    /// `1` keeps the whole-dataset layout; any `S > 1` splits the mask
+    /// matrix into word-aligned shards and merges in shard order, with
+    /// results **bit-identical** to the unsharded path at any shard
+    /// count.
     pub shards: usize,
     /// The persistent worker pool every parallel stage runs on (the
     /// process-global pool by default), so one engine — and one
@@ -69,13 +67,6 @@ pub struct EvalConfig {
     /// drives (frontier, model, pool gauges). Disabled by default; an
     /// enabled handle **never changes any result bit** — it only counts.
     pub obs: ObsHandle,
-    /// Shard-executor backend for the sharded count/materialize passes
-    /// and statistics folds (`sisd-exec` in-process / process-pool /
-    /// socket). Disabled by default (local kernels); only consulted when
-    /// `shards > 1`. Results are **bit-identical** with any backend —
-    /// counts and words are exact, and a failing backend degrades to the
-    /// local kernels per request (`executor.fallbacks`).
-    pub exec: ExecHandle,
 }
 
 impl Default for EvalConfig {
@@ -85,7 +76,6 @@ impl Default for EvalConfig {
             shards: 1,
             pool: PoolHandle::global(),
             obs: ObsHandle::disabled(),
-            exec: ExecHandle::disabled(),
         }
     }
 }
@@ -119,15 +109,6 @@ impl EvalConfig {
     /// with any handle; the counters are purely additive.
     pub fn with_obs(mut self, obs: ObsHandle) -> Self {
         self.obs = obs;
-        self
-    }
-
-    /// Sets the shard-executor backend the sharded passes dispatch
-    /// through. Results are bit-identical with any backend (or with the
-    /// default disabled handle, which keeps everything on the local
-    /// kernels).
-    pub fn with_executor(mut self, exec: ExecHandle) -> Self {
-        self.exec = exec;
         self
     }
 }
@@ -194,20 +175,10 @@ pub struct Evaluator<'a> {
     dl: sisd_core::DlParams,
     threads: usize,
     pool: PoolHandle,
-    /// `Some` when the engine aggregates statistics per row-range shard
-    /// (`EvalConfig::shards > 1`): cell counts sum exact per-shard word
-    /// slices, and float accumulators fold shard by shard in shard order,
-    /// so every score is bit-identical to the unsharded path.
-    plan: Option<ShardPlan>,
     backend: Backend<'a>,
     /// Metrics destination for batch scoring (and, via
     /// [`Evaluator::publish_stats`], the cache/pool gauges).
     obs: ObsHandle,
-    /// Shard-executor backend the sharded cell-count folds (and, through
-    /// [`run_beam_levels`]'s frontier config, the count/materialize
-    /// passes) dispatch through. Disabled → local kernels; any backend →
-    /// identical bits, with per-request local fallback on failure.
-    exec: ExecHandle,
     /// Batch-scored candidates dropped for a reason *other* than an empty
     /// extension — i.e. numeric model breakdown (`BadPrior`). Zero in
     /// healthy runs; see [`Evaluator::numeric_failures`].
@@ -242,14 +213,12 @@ impl<'a> Evaluator<'a> {
             dl,
             threads: cfg.threads.max(1),
             pool: cfg.pool,
-            plan: (cfg.shards > 1).then(|| ShardPlan::new(data.n(), cfg.shards)),
             backend: Backend::Gaussian {
                 model,
                 cache,
                 cell_sums: OnceLock::new(),
             },
             obs: cfg.obs,
-            exec: cfg.exec,
             numeric_failures: AtomicUsize::new(0),
         }
     }
@@ -266,10 +235,8 @@ impl<'a> Evaluator<'a> {
             dl,
             threads: cfg.threads.max(1),
             pool: cfg.pool,
-            plan: (cfg.shards > 1).then(|| ShardPlan::new(data.n(), cfg.shards)),
             backend: Backend::Bernoulli { model },
             obs: cfg.obs,
-            exec: cfg.exec,
             numeric_failures: AtomicUsize::new(0),
         }
     }
@@ -299,12 +266,6 @@ impl<'a> Evaluator<'a> {
         self.obs
     }
 
-    /// The shard-executor handle sharded passes dispatch through
-    /// (disabled means local kernels).
-    pub fn exec(&self) -> ExecHandle {
-        self.exec
-    }
-
     /// Samples the point-in-time gauges — factor-cache hit/miss/occupancy
     /// and worker-pool utilization — into the metrics registry. Cheap; a
     /// disabled handle makes it a no-op. Called at the end of every beam
@@ -331,12 +292,6 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// Row-range shard count of the statistics aggregation (1 when
-    /// unsharded).
-    pub fn shards(&self) -> usize {
-        self.plan.as_ref().map_or(1, ShardPlan::shards)
-    }
-
     /// Candidates dropped from batch scoring for a reason other than an
     /// empty extension (numeric model breakdown — e.g. a cell covariance
     /// that no longer factorizes). An empty-extension skip is expected
@@ -352,36 +307,6 @@ impl<'a> Evaluator<'a> {
         if !matches!(e, SisdError::Model(ModelError::EmptyExtension)) {
             self.numeric_failures.fetch_add(1, Ordering::Relaxed);
         }
-    }
-
-    /// `|cell ∩ ext|` for an extension given by its words. Sharded
-    /// engines sum exact per-shard word-slice counts in shard order,
-    /// each through the shard executor when one is attached (a failed
-    /// request falls back to the local kernel for that shard, bumping
-    /// `executor.fallbacks`), so the count is the same integer on every
-    /// path.
-    fn intersection_count(&self, cell: &[u64], words: &[u64]) -> usize {
-        let Some(plan) = &self.plan else {
-            return kernels::and_count(cell, words);
-        };
-        let exec = self.exec.get();
-        let mut total = 0usize;
-        for s in 0..plan.shards() {
-            let wr = plan.word_range(s);
-            if wr.is_empty() {
-                continue;
-            }
-            let (a, b) = (&cell[wr.clone()], &words[wr]);
-            total += match exec.map(|exec| exec.and_count(a, b)) {
-                Some(Ok(c)) => c as usize,
-                Some(Err(_)) => {
-                    self.obs.incr(Metric::ExecutorFallbacks);
-                    kernels::and_count(a, b)
-                }
-                None => kernels::and_count(a, b),
-            };
-        }
-        total
     }
 
     /// Observed subgroup mean of the extension `words` with `support`
@@ -419,10 +344,10 @@ impl<'a> Evaluator<'a> {
     /// Observed mean and SI breakdown of one candidate of the given
     /// description arity, whose extension is packed in `words` and covers
     /// `support` rows — the scoring core of every entry point, borrowed
-    /// or owned, and of the beam's in-place child scoring. When the engine
-    /// is sharded, the cell-count signature is summed from per-shard word
-    /// slices, which reproduces the unsharded counts exactly; the row-scan
-    /// mean needs no shard split (see `Dataset::target_mean_sharded`).
+    /// or owned, and of the beam's in-place child scoring. Statistics are
+    /// computed over the whole-dataset words whatever the shard count of
+    /// the mask matrix, so scores are shard-count invariant by
+    /// construction.
     ///
     /// A non-finite IC or SI (a NaN or infinite target inside the
     /// extension) is a numeric failure: it never reaches a ranking.
@@ -438,7 +363,7 @@ impl<'a> Evaluator<'a> {
         let dl = self.dl.location_dl(arity);
         let (observed_mean, ic) = match &self.backend {
             Backend::Gaussian { model, cache, .. } => {
-                let counts = model.cell_counts_with(|cell| self.intersection_count(cell, words));
+                let counts = model.cell_counts_words(words);
                 let observed = self.observed_mean(words, support, &counts);
                 let stats =
                     model.location_stats_for_counts(&counts, &observed, Some(cache.as_ref()))?;
@@ -447,7 +372,7 @@ impl<'a> Evaluator<'a> {
             }
             Backend::Bernoulli { model } => {
                 let observed = self.data.target_mean_words(words, support);
-                let counts = model.cell_counts_with(|cell| self.intersection_count(cell, words));
+                let counts = model.cell_counts_words(words);
                 let ic = model.location_ic_for_counts(&counts, &observed)?;
                 (observed, ic)
             }
@@ -812,11 +737,11 @@ struct Keeper {
 /// level is then scored and the `width` best become the next frontier.
 /// The masks come prebuilt in `masks` (see [`SearchMasks`]).
 ///
-/// With `ev.shards() > 1` the mask matrix holds one arena per row-range
-/// shard and refinement counts per shard: the dedup/support filters run on
-/// the shard-summed totals, and only survivors are materialized (merged in
-/// shard order); statistics aggregate from per-shard partials inside the
-/// engine. The search result is bit-identical at any shard count.
+/// With [`EvalConfig::shards`] `> 1` the mask matrix holds one arena per
+/// row-range shard and refinement counts per shard: the dedup/support
+/// filters run on the shard-summed totals, and only survivors are
+/// materialized (merged in shard order). The search result is
+/// bit-identical at any shard count.
 ///
 /// **Children are scored in place.** Each level's children stay in the
 /// frontier's `ChildBatch` arena: scoring reads a child's words there and
@@ -851,7 +776,6 @@ pub(crate) fn run_beam_levels(
             threads: ev.threads(),
             pool: ev.pool(),
             obs: ev.obs(),
-            exec: ev.exec(),
         },
     );
     let max_cov =
@@ -1093,7 +1017,7 @@ mod tests {
     #[test]
     fn shard_count_does_not_change_results() {
         let (data, mut model) = fixture();
-        // Heterogeneous cells so the sharded signature path is non-trivial.
+        // Heterogeneous cells so the cell-count signature is non-trivial.
         let half = BitSet::from_indices(data.n(), 0..data.n() / 2);
         let mean = data.target_mean(&half);
         model.assimilate_location(&half, mean).unwrap();
@@ -1109,7 +1033,6 @@ mod tests {
                 DlParams::default(),
                 EvalConfig::default().with_shards(shards),
             );
-            assert_eq!(ev.shards(), shards);
             let got = ev.score_all(&cands);
             assert_eq!(got.len(), serial.len());
             for (a, b) in got.iter().zip(&serial) {

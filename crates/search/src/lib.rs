@@ -35,9 +35,8 @@
 //! [`BranchBoundConfig`] down to every scoring call and drives frontier
 //! generation too. With `shards > 1` the conjunctive strategies build
 //! their masks per word-aligned shard, refine over `(parent, shard,
-//! row-block)` items merged in shard order, and aggregate location
-//! statistics from per-shard partials — bit-identical results at any
-//! shard count.
+//! row-block)` items merged in shard order — bit-identical results at
+//! any shard count.
 
 pub mod beam;
 pub mod binary_beam;

@@ -61,8 +61,8 @@ impl MinerConfig {
     }
 
     /// Sets the engine's row-range shard count; every search this miner
-    /// runs builds masks, refines frontiers, and aggregates statistics per
-    /// shard, with results bit-identical to the unsharded search.
+    /// runs builds masks and refines frontiers per shard, with results
+    /// bit-identical to the unsharded search.
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.beam.eval = self.beam.eval.with_shards(shards);
         self
@@ -85,17 +85,6 @@ impl MinerConfig {
     /// with any handle.
     pub fn with_obs(mut self, obs: ObsHandle) -> Self {
         self.beam.eval = self.beam.eval.with_obs(obs);
-        self
-    }
-
-    /// Routes the sharded count/materialize passes and statistics folds
-    /// of every search this miner runs through the given shard-executor
-    /// backend (see `sisd-exec`). Only consulted when the engine is
-    /// sharded (`with_shards(S > 1)`); results are bit-identical with any
-    /// backend, and a failing backend degrades to the local kernels per
-    /// request instead of failing the search.
-    pub fn with_executor(mut self, exec: sisd_frontier::ExecHandle) -> Self {
-        self.beam.eval = self.beam.eval.with_executor(exec);
         self
     }
 }

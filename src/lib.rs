@@ -17,7 +17,6 @@
 pub use sisd_baselines as baselines;
 pub use sisd_core as core;
 pub use sisd_data as data;
-pub use sisd_exec as exec;
 pub use sisd_frontier as frontier;
 pub use sisd_linalg as linalg;
 pub use sisd_model as model;

@@ -8,7 +8,6 @@ use sisd::data::datasets::{
     crime_synthetic, german_socio_synthetic, mammals_synthetic, synthetic_paper,
     water_quality_synthetic,
 };
-use sisd::data::shard::ShardPlan;
 use sisd::data::{BitSet, Dataset};
 use sisd::linalg::{Cholesky, Matrix};
 use sisd::model::BackgroundModel;
@@ -145,11 +144,11 @@ fn bits(v: &[f64]) -> Vec<u64> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// `target_mean`, `target_mean_words` and `target_mean_sharded` walk
-    /// the extension's words instead of iterating its rows; every column
-    /// must still see the same additions in the same order. Covers row
-    /// counts around the word boundary; one column (summed in a register)
-    /// and wider rows; over full, empty-tail, sparse and random masks.
+    /// `target_mean` and `target_mean_words` walk the extension's words
+    /// instead of iterating its rows; every column must still see the same
+    /// additions in the same order. Covers row counts around the word
+    /// boundary; one column (summed in a register) and wider rows; over
+    /// full, empty-tail, sparse and random masks.
     #[test]
     fn word_scan_means_match_the_per_row_oracle(seed in 0u64..1_000_000) {
         let mut rng = Xoshiro256pp::seed_from_u64(seed);
@@ -180,15 +179,7 @@ proptest! {
                     let oracle = per_row_mean(&data, ext);
                     let count = ext.count();
                     prop_assert_eq!(bits(&data.target_mean(ext)), oracle.clone(), "dy={} n={}", dy, n);
-                    prop_assert_eq!(bits(&data.target_mean_words(ext.words(), count)), oracle.clone());
-                    for s in [1usize, 2, 3, 7] {
-                        let plan = ShardPlan::new(n, s);
-                        prop_assert_eq!(
-                            bits(&data.target_mean_sharded(ext, &plan)),
-                            oracle.clone(),
-                            "dy={} n={} shards={}", dy, n, s
-                        );
-                    }
+                    prop_assert_eq!(bits(&data.target_mean_words(ext.words(), count)), oracle);
                 }
             }
         }

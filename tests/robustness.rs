@@ -2,7 +2,7 @@
 //! gracefully survive the pathological datasets a downstream user will
 //! eventually feed it.
 
-use sisd::core::{location_si, DlParams, Intention};
+use sisd::core::{explain_location, location_si, DlParams, Intention};
 use sisd::data::csv::dataset_from_csv_str;
 use sisd::data::{BitSet, Column, Dataset};
 use sisd::linalg::Matrix;
@@ -314,6 +314,39 @@ fn nan_target_row_does_not_panic_branch_and_bound() {
             "the optimum covers the NaN row"
         );
     }
+}
+
+/// A NaN target row inside the extension makes the observed mean NaN.
+/// Explaining such a pattern is a typed numeric failure, not a panic in
+/// the ranking of the attributes by surprise (which needs two targets to
+/// compare at all).
+#[test]
+fn nan_target_row_does_not_panic_explain() {
+    let n = 40;
+    let two_targets = |targets: Matrix| {
+        Dataset::new(
+            "nan-explain",
+            vec!["x".into()],
+            vec![Column::Numeric((0..n).map(|i| i as f64).collect())],
+            vec!["a".into(), "b".into()],
+            targets,
+        )
+    };
+    let clean = two_targets(Matrix::from_vec(
+        n,
+        2,
+        (0..2 * n).map(|k| (k as f64 * 0.61).cos()).collect(),
+    ));
+    let model = BackgroundModel::from_empirical(&clean).unwrap();
+    let mut targets = clean.targets().clone();
+    targets[(3, 0)] = f64::NAN;
+    let dirty = two_targets(targets);
+    let ext = BitSet::from_indices(n, 0..10);
+    let explained = explain_location(&model, &dirty, &Intention::empty(), &ext);
+    assert!(matches!(explained, Err(ModelError::NonFinite)));
+    // The same pattern on clean data still explains.
+    let ok = explain_location(&model, &clean, &Intention::empty(), &ext).unwrap();
+    assert_eq!(ok.attributes.len(), 2);
 }
 
 /// A `NaN` cell in a numeric CSV descriptor column loads as a NaN value.

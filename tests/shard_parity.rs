@@ -5,12 +5,12 @@
 //! children on both of its routes, and full beam / binary-beam /
 //! branch-and-bound searches return bit-identical results at 1 and 4
 //! threads. Plus shard-plan edge cases (empty shards,
-//! S > rows, non-multiple-of-64 row counts) and the
-//! `concat_words`/`words`/`from_words` round-trip regression.
+//! S > rows, non-multiple-of-64 row counts) and the `words`/`from_words`
+//! round-trip regression.
 
 use proptest::prelude::*;
 use sisd::core::Condition;
-use sisd::data::shard::{shard_members, ShardPlan};
+use sisd::data::shard::ShardPlan;
 use sisd::data::{BitSet, Column, Dataset};
 use sisd::frontier::{
     ChildBatch, ChildMeta, FrontierBuilder, FrontierConfig, MaskMatrix, ParentSpec,
@@ -220,8 +220,8 @@ proptest! {
         }
     }
 
-    /// Shard slicing and `concat_words` round-trip arbitrary bitsets
-    /// exactly, including through the raw `words`/`from_words` surface.
+    /// Arbitrary bitsets round-trip exactly through the raw
+    /// `words`/`from_words` surface.
     #[test]
     fn concat_words_round_trips(seed in 0u64..10_000) {
         let mut rng = Xoshiro256pp::seed_from_u64(seed);
@@ -230,20 +230,6 @@ proptest! {
         // words/from_words round-trip regression.
         let rebuilt = BitSet::from_words(full.words().to_vec(), full.len());
         prop_assert_eq!(&rebuilt, &full);
-        for s in SHARD_COUNTS {
-            let plan = ShardPlan::new(n, s);
-            let parts: Vec<BitSet> = (0..s).map(|k| full.shard(&plan, k)).collect();
-            prop_assert_eq!(
-                parts.iter().map(BitSet::count).sum::<usize>(),
-                full.count()
-            );
-            let merged = BitSet::concat_words(&parts);
-            prop_assert_eq!(&merged, &full, "s={}", s);
-            // Membership agrees shard-locally too.
-            let chained: Vec<usize> =
-                (0..s).flat_map(|k| shard_members(&full, &plan, k)).collect();
-            prop_assert_eq!(chained, full.to_indices());
-        }
     }
 }
 
